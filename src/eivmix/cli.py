@@ -25,6 +25,7 @@ from . import __version__
 from .data_io import (
     RunManifest,
     TabularSchema,
+    _fmt,
     paired_subset,
     read_csv,
     read_fit_report,
@@ -72,10 +73,6 @@ _SCENARIO_OBJECTIVE = {
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _manifest_args(args) -> dict:

@@ -12,9 +12,12 @@ output side). Fully paired data (all groups singleton) recovers the
 classical errors-in-variables likelihood; a single group is the completely
 unpaired case where only the marginal distributions matter.
 
-The integral is evaluated on a trapezoidal tensor grid per group or by Monte
-Carlo sampling of the input mixture. Point-mass input densities never reach
-numeric evaluation: their contribution collapses analytically to a function
+Every integration method is one contraction of per-group nodes s_i and
+weights w_i, likelihood = sum_i w_i f_out_r(M(s_i; alpha)): a trapezoidal
+tensor grid over the continuous input components (weights f_in_r times the
+trapezoid weights), the centers of point-mass inputs (weights 1/H_r) or P
+Monte Carlo draws from the input mixture (weights 1/P). Point-mass inputs
+thus never reach numeric evaluation: their integral collapses to a function
 evaluation (sifting), which is also how exact classical regression
 objectives are recovered.
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from .dataset import Group, GroupedDataset
 from .densities import GAUSSIAN, POINT_MASS, UNIFORM, DensityParams, density_eval
+from .densities import _SQRT_2PI
 from .models import ParametricModel, model_eval_batch
 
 QUADRATURE = "quadrature-grid"
@@ -44,8 +48,6 @@ MONTE_CARLO = "monte-carlo"
 #: from nll_general: closed_form.value + R * GAUSS_LOG_NORM_PER_GROUP
 #: equals the fully normalized objective.
 GAUSS_LOG_NORM_PER_GROUP = 0.5 * math.log(2.0 * math.pi)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _MAX_GRID_POINTS = 1 << 22
 
@@ -140,22 +142,45 @@ def _pdf_product(z: np.ndarray, scale: np.ndarray, kind: str) -> np.ndarray:
     return inside / np.prod(2.0 * scale, axis=-1)
 
 
-class _Bucket:
-    """Groups sharing (H, L, per-column density kinds), stacked for array math."""
+def _kind_columns(kinds) -> list:
+    """(kind, component columns) for each Gaussian or uniform kind in kinds."""
+    parts = []
+    for kind in (GAUSSIAN, UNIFORM):
+        cols = [c for c, k_ in enumerate(kinds) if k_ == kind]
+        if cols:
+            parts.append((kind, cols))
+    return parts
 
-    def __init__(self, idx, x, xscale, in_kinds, y, yscale, out_kinds):
-        self.idx = np.asarray(idx)
-        self.x = x  # (B, H, k)
-        self.xscale = xscale  # (B, H, k), zeros for point-mass columns
-        self.in_kinds = in_kinds  # tuple of length H
-        self.y = y  # (B, L, m)
-        self.yscale = yscale  # (B, L, m)
-        self.out_kinds = out_kinds  # tuple of length L
-        self.cont_cols = [h for h, k_ in enumerate(in_kinds) if k_ != POINT_MASS]
-        self.pm_cols = [h for h, k_ in enumerate(in_kinds) if k_ == POINT_MASS]
-        self.mc_comp = None  # (B, P) component choices
-        self.mc_basis_normal = None  # (B, P, k)
-        self.mc_basis_uniform = None  # (B, P, k)
+
+def _mixture_sum(centers, scales, parts, pts) -> np.ndarray:
+    """sum_c f_c(centers_c - pts) over the components listed in parts.
+
+    centers and scales have shape (B, C, d), parts comes from _kind_columns
+    and pts has shape (B, n, d); returns (B, n). All components of one kind
+    are evaluated together. Point-mass components are never listed: they
+    enter through the sifting nodes, not as a numeric density.
+    """
+    total = None
+    for kind, cols in parts:
+        z = centers[:, cols, None, :] - pts[:, None, :, :]  # (B, Cc, n, d)
+        term = _pdf_product(z, scales[:, cols, None, :], kind).sum(axis=1)
+        total = term if total is None else total + term
+    return total
+
+
+def _buckets(ds: GroupedDataset) -> list:
+    """Groups sharing per-point density kinds on both sides (hence H and L).
+
+    Returns (rows, groups) pairs in first-seen order.
+    """
+    keyed = {}
+    for r, g in enumerate(ds.groups):
+        key = (
+            tuple(d.kind for d in g.input_densities),
+            tuple(d.kind for d in g.output_densities),
+        )
+        keyed.setdefault(key, []).append(r)
+    return [(np.asarray(rows), [ds.groups[r] for r in rows]) for rows in keyed.values()]
 
 
 def _stack_side(points_list, densities_list):
@@ -170,8 +195,46 @@ def _stack_side(points_list, densities_list):
     return pts, scales, kinds
 
 
+class _Bucket:
+    """One bucket of groups from _buckets, stacked for array math."""
+
+    def __init__(self, rows, groups, cfg: IntegrationConfig):
+        self.idx = rows
+        # (B, H, k) and (B, L, m); point-mass columns get scale 0
+        self.x, self.xscale, self.in_kinds = _stack_side(
+            [g.inputs for g in groups], [g.input_densities for g in groups]
+        )
+        self.y, self.yscale, self.out_kinds = _stack_side(
+            [g.outputs for g in groups], [g.output_densities for g in groups]
+        )
+        self.cont_cols = [h for h, k_ in enumerate(self.in_kinds) if k_ != POINT_MASS]
+        self.pm_cols = [h for h, k_ in enumerate(self.in_kinds) if k_ == POINT_MASS]
+        self.in_parts = _kind_columns(self.in_kinds)
+        self.out_parts = _kind_columns(self.out_kinds)
+        if cfg.method == MONTE_CARLO:
+            # (B, P) component choices and (B, P, k) unit draws of the chosen
+            # components, seeded from (config seed, group index)
+            B, H, k = self.x.shape
+            P = cfg.mc_samples
+            gaussian = np.array([k_ == GAUSSIAN for k_ in self.in_kinds])
+            self.mc_comp = np.empty((B, P), dtype=np.intp)
+            self.mc_basis = np.empty((B, P, k))
+            for j, r in enumerate(rows):
+                rng = np.random.default_rng((cfg.seed, int(r)))
+                self.mc_comp[j] = rng.integers(0, H, P)
+                zn = rng.standard_normal((P, k))
+                zu = rng.uniform(-1.0, 1.0, (P, k))
+                self.mc_basis[j] = np.where(gaussian[self.mc_comp[j]][:, None], zn, zu)
+
+
 class CompiledObjective:
     """Reusable evaluator of the general grouped objective.
+
+    Every integration method reduces to nodes s_i with weights w_i per
+    group: the grid (weights f_in times the trapezoid weights), point-mass
+    centers (weights 1/H, sifting) or Monte Carlo draws from the input
+    mixture (weights 1/P). ``evaluate`` contracts them the same way for all
+    three, likelihood = sum_i w_i f_out(M(s_i; alpha)).
 
     Compiling once and evaluating many times is what the optimizer does;
     ``nll_general`` is the one-shot convenience wrapper. Evaluation is a
@@ -215,44 +278,7 @@ class CompiledObjective:
         wbase[0] = wbase[-1] = 0.5
         self._wprod = np.prod(wbase[self._grid_index], axis=1)  # (G,)
 
-        keyed = {}
-        for r, grp in enumerate(ds.groups):
-            key = (
-                grp.n_inputs,
-                grp.n_outputs,
-                tuple(d.kind for d in grp.input_densities),
-                tuple(d.kind for d in grp.output_densities),
-            )
-            keyed.setdefault(key, []).append(r)
-        self.buckets = []
-        for rows in keyed.values():
-            groups = [ds.groups[r] for r in rows]
-            x, xscale, in_kinds = _stack_side(
-                [g_.inputs for g_ in groups], [g_.input_densities for g_ in groups]
-            )
-            y, yscale, out_kinds = _stack_side(
-                [g_.outputs for g_ in groups], [g_.output_densities for g_ in groups]
-            )
-            self.buckets.append(_Bucket(rows, x, xscale, in_kinds, y, yscale, out_kinds))
-        if cfg.method == MONTE_CARLO:
-            self._draw_mc_samples()
-
-    def _draw_mc_samples(self):
-        P = self.cfg.mc_samples
-        k = self.ds.input_dim
-        for b in self.buckets:
-            B, H = b.x.shape[0], b.x.shape[1]
-            comp = np.empty((B, P), dtype=np.intp)
-            zn = np.empty((B, P, k))
-            zu = np.empty((B, P, k))
-            for j, r in enumerate(b.idx):
-                rng = np.random.default_rng((self.cfg.seed, int(r)))
-                comp[j] = rng.integers(0, H, P)
-                zn[j] = rng.standard_normal((P, k))
-                zu[j] = rng.uniform(-1.0, 1.0, (P, k))
-            b.mc_comp = comp
-            b.mc_basis_normal = zn
-            b.mc_basis_uniform = zu
+        self.buckets = [_Bucket(rows, groups, cfg) for rows, groups in _buckets(ds)]
 
     # -- scale overrides ---------------------------------------------------
 
@@ -266,87 +292,52 @@ class CompiledObjective:
             out[:, gcols, :] = override
         return out
 
-    # -- output mixture ----------------------------------------------------
-
-    def _output_mixture(self, b: _Bucket, yscale, vals):
-        """(1/L) sum_l f_eps_l(y_l - vals); vals has shape (B, n, m) -> (B, n)."""
-        z = b.y[:, :, None, :] - vals[:, None, :, :]  # (B, L, n, m)
-        kinds = set(b.out_kinds)
-        if len(kinds) == 1:
-            comp = _pdf_product(z, yscale[:, :, None, :], b.out_kinds[0])
-            return comp.mean(axis=1)
-        total = np.zeros(z.shape[:1] + z.shape[2:3])
-        for l, kind in enumerate(b.out_kinds):
-            total += _pdf_product(z[:, l], yscale[:, l, None, :], kind)
-        return total / len(b.out_kinds)
-
-    def _input_mixture_on_grid(self, b: _Bucket, xscale, pts):
-        """Continuous part of the input mixture on grid pts (B, G, k) -> (B, G)."""
-        cont = b.cont_cols
-        kinds = set(b.in_kinds[h] for h in cont)
-        H = b.x.shape[1]
-        if len(kinds) == 1:
-            z = b.x[:, cont, None, :] - pts[:, None, :, :]  # (B, Hc, G, k)
-            comp = _pdf_product(z, xscale[:, cont, None, :], kinds.pop())
-            return comp.sum(axis=1) / H
-        total = np.zeros(pts.shape[:2])
-        for h in cont:
-            z = b.x[:, h, None, :] - pts  # (B, G, k)
-            total += _pdf_product(z, xscale[:, h, None, :], b.in_kinds[h])
-        return total / H
-
-    def _model_on(self, alpha, pts):
-        B, n, k = pts.shape
-        vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k))
-        return vals.reshape(B, n, self.ds.output_dim)
-
     # -- evaluation --------------------------------------------------------
+
+    def _nodes(self, b: _Bucket, xscale) -> list:
+        """(points (B, n, k), weights) pairs integrating against f_in.
+
+        The weights broadcast against (B, n). Point-mass inputs never reach
+        numeric evaluation: they are nodes at their centers (sifting).
+        """
+        if self.cfg.method == MONTE_CARLO:
+            # the mixture is sampled whole: point-mass components simply
+            # land exactly on their centers (zero scale)
+            centers = np.take_along_axis(b.x, b.mc_comp[:, :, None], axis=1)
+            scale = np.take_along_axis(xscale, b.mc_comp[:, :, None], axis=1)
+            return [(centers - scale * b.mc_basis, 1.0 / self.cfg.mc_samples)]
+        H = b.x.shape[1]
+        nodes = []
+        if b.cont_cols:
+            g = self._grid_points
+            pad = self.cfg.grid_halfwidth_sigmas * xscale[:, b.cont_cols, :].max(axis=1)
+            c = b.x[:, b.cont_cols, :]
+            lo = c.min(axis=1) - pad  # (B, k)
+            hi = c.max(axis=1) + pad
+            t = np.linspace(0.0, 1.0, g)
+            lin = lo[:, None, :] + (hi - lo)[:, None, :] * t[None, :, None]
+            gi = self._grid_index
+            pts = np.stack(
+                [lin[:, gi[:, d], d] for d in range(lin.shape[2])], axis=-1
+            )  # (B, G, k)
+            fx = _mixture_sum(b.x, xscale, b.in_parts, pts) / H
+            step = (hi - lo) / (g - 1)
+            nodes.append((pts, fx * (step.prod(axis=1)[:, None] * self._wprod[None, :])))
+        if b.pm_cols:
+            nodes.append((b.x[:, b.pm_cols, :], 1.0 / H))
+        return nodes
 
     def evaluate(self, alpha, input_scales=None, output_scales=None) -> ObjectiveValue:
         per_group = np.empty(self.n_groups)
-        ghs = self.cfg.grid_halfwidth_sigmas
-        g = self._grid_points
         for b in self.buckets:
             xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
             yscale = self._effective_scales(b.yscale, b.out_kinds, output_scales)
-            H = b.x.shape[1]
-            if self.cfg.method == MONTE_CARLO:
-                # the mixture is sampled whole: point-mass components simply
-                # land exactly on their centers (zero scale)
-                centers = np.take_along_axis(b.x, b.mc_comp[:, :, None], axis=1)
-                scale_sel = np.take_along_axis(xscale, b.mc_comp[:, :, None], axis=1)
-                kind_code = np.array(
-                    [0 if k_ == GAUSSIAN else 1 for k_ in b.in_kinds]
-                )[b.mc_comp]
-                basis = np.where(
-                    kind_code[:, :, None] == 0, b.mc_basis_normal, b.mc_basis_uniform
-                )
-                samples = centers - scale_sel * basis  # (B, P, k)
-                fy = self._output_mixture(b, yscale, self._model_on(alpha, samples))
-                lik = fy.mean(axis=1)
-            else:
-                lik = np.zeros(b.x.shape[0])
-                if b.cont_cols:
-                    c = b.x[:, b.cont_cols, :]
-                    sc = xscale[:, b.cont_cols, :]
-                    pad = ghs * sc.max(axis=1)  # (B, k)
-                    lo = c.min(axis=1) - pad
-                    hi = c.max(axis=1) + pad
-                    t = np.linspace(0.0, 1.0, g)
-                    lin = lo[:, None, :] + (hi - lo)[:, None, :] * t[None, :, None]
-                    gi = self._grid_index
-                    pts = np.stack(
-                        [lin[:, gi[:, d], d] for d in range(lin.shape[2])], axis=-1
-                    )  # (B, G, k)
-                    fx = self._input_mixture_on_grid(b, xscale, pts)
-                    fy = self._output_mixture(b, yscale, self._model_on(alpha, pts))
-                    step = (hi - lo) / (g - 1)
-                    weights = step.prod(axis=1)[:, None] * self._wprod[None, :]
-                    lik = lik + np.sum(fx * fy * weights, axis=1)
-                if b.pm_cols:
-                    xp = b.x[:, b.pm_cols, :]
-                    fy = self._output_mixture(b, yscale, self._model_on(alpha, xp))
-                    lik = lik + fy.sum(axis=1) / H
+            lik = 0.0
+            for pts, w in self._nodes(b, xscale):
+                B, n, k = pts.shape
+                vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k))
+                fy = _mixture_sum(b.y, yscale, b.out_parts, vals.reshape(B, n, -1))
+                lik = lik + np.sum(fy / b.y.shape[1] * w, axis=1)
             with np.errstate(divide="ignore"):
                 per_group[b.idx] = np.log(lik)
         return ObjectiveValue.from_group_logs(per_group)
@@ -453,26 +444,6 @@ def shared_gaussian_scales(ds: GroupedDataset) -> tuple:
     return eta, eps
 
 
-def shared_uniform_halfwidths(ds: GroupedDataset) -> tuple:
-    """Like shared_gaussian_scales, for uniform-box densities."""
-    def collect(densities_iter, side):
-        rows = []
-        for d in densities_iter:
-            if d.kind != UNIFORM:
-                raise ValueError(
-                    f"{side} densities must all be uniform-box, found {d.kind}"
-                )
-            rows.append(d.scale)
-        rows = np.stack(rows)
-        if not np.all(rows == rows[0]):
-            raise ValueError(f"{side} densities must share one half-width vector")
-        return rows[0]
-
-    v = collect((d for g in ds.groups for d in g.input_densities), "input")
-    w = collect((d for g in ds.groups for d in g.output_densities), "output")
-    return v, w
-
-
 # -- Gaussian closed forms ----------------------------------------------------
 
 
@@ -498,14 +469,11 @@ class CompiledGaussianPlane:
         self.sigma_eta = sigma_eta
         self.sigma_eps = float(sigma_eps)
         self.n_groups = ds.n_groups
-        keyed = {}
-        for r, g in enumerate(ds.groups):
-            keyed.setdefault((g.n_inputs, g.n_outputs), []).append(r)
         self.buckets = []
-        for (h, l), rows in keyed.items():
-            x = np.stack([ds.groups[r].inputs for r in rows])  # (B, H, k)
-            y = np.stack([ds.groups[r].outputs[:, 0] for r in rows])  # (B, L)
-            self.buckets.append((np.asarray(rows), x, y, math.log(h * l)))
+        for rows, groups in _buckets(ds):
+            x = np.stack([g.inputs for g in groups])  # (B, H, k)
+            y = np.stack([g.outputs[:, 0] for g in groups])  # (B, L)
+            self.buckets.append((rows, x, y, math.log(x.shape[1] * y.shape[1])))
 
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -572,20 +540,13 @@ class CompiledIntervalLine:
                         "requires uniform-box errors on both sides"
                     )
         self.n_groups = ds.n_groups
-        keyed = {}
-        for r, g in enumerate(ds.groups):
-            keyed.setdefault((g.n_inputs, g.n_outputs), []).append(r)
         self.buckets = []
-        for (h, l), rows in keyed.items():
-            xb = np.stack([ds.groups[r].inputs[:, 0] for r in rows])
-            v = np.stack(
-                [[d.scale[0] for d in ds.groups[r].input_densities] for r in rows]
-            )
-            yb = np.stack([ds.groups[r].outputs[:, 0] for r in rows])
-            w = np.stack(
-                [[d.scale[0] for d in ds.groups[r].output_densities] for r in rows]
-            )
-            self.buckets.append((np.asarray(rows), xb, v, yb, w))
+        for rows, groups in _buckets(ds):
+            xb = np.stack([g.inputs[:, 0] for g in groups])
+            v = np.array([[d.scale[0] for d in g.input_densities] for g in groups])
+            yb = np.stack([g.outputs[:, 0] for g in groups])
+            w = np.array([[d.scale[0] for d in g.output_densities] for g in groups])
+            self.buckets.append((rows, xb, v, yb, w))
 
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))

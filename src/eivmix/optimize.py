@@ -87,7 +87,8 @@ def _simplex_descent(f, x0: np.ndarray, cfg: OptimizerConfig):
         diameter = np.max(np.abs(simplex[1:] - simplex[0]))
         spread = fvals[-1] - fvals[0] if math.isfinite(fvals[0]) else math.inf
         if diameter <= cfg.x_tol or spread <= cfg.f_tol:
-            converged = True
+            # a simplex collapsed on a non-finite plateau has found nothing
+            converged = math.isfinite(fvals[0])
             break
         if iterations >= cfg.max_iters:
             break
@@ -131,8 +132,9 @@ def nelder_mead(f: Callable[[np.ndarray], float], x0, cfg: OptimizerConfig) -> F
     ``restarts`` additional runs start from x0 perturbed by
     initial_simplex_scale * standard-normal draws seeded by cfg.seed; the
     best run wins (ties: earliest run). The running best value never
-    increases within a run. Hitting max_iters leaves converged False but
-    still returns the best point seen.
+    increases within a run. Hitting max_iters, or stopping with a
+    non-finite best value, leaves converged False but still returns the
+    best point seen.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     starts = [x0]

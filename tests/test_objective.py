@@ -24,7 +24,6 @@ from eivmix import (
     nll_gaussian_line,
     nll_general,
     shared_gaussian_scales,
-    shared_uniform_halfwidths,
 )
 from eivmix.objective import GAUSS_LOG_NORM_PER_GROUP
 from eivmix import PairedDataset
@@ -194,6 +193,28 @@ def test_interval_closed_form_matches_quad_with_breakpoints():
     assert closed == pytest.approx(oracle, rel=1e-10)
 
 
+def mixed_kind_group():
+    # Gaussian and uniform components on both sides of one group
+    return Group(
+        np.array([[-0.3], [0.6]]),
+        np.array([[0.2], [0.5]]),
+        (ErrorDensity.gaussian(0.5), ErrorDensity.uniform(0.4)),
+        (ErrorDensity.uniform(0.4), ErrorDensity.gaussian(0.5)),
+    )
+
+
+def test_general_matches_quad_oracle_mixed_kinds():
+    ds = GroupedDataset((mixed_kind_group(),), 1, 1)
+    alpha = np.array([0.1, 0.7])
+    # the uniform edges, mapped to s, are the integrand's kinks
+    pts = [0.6 - 0.4, 0.6 + 0.4]
+    pts += [(0.2 - alpha[0] + e) / alpha[1] for e in (-0.4, 0.4)]
+    mine = nll_general(ds, LINE, FINE, alpha).value
+    oracle = quad_oracle_value(ds, LINE, alpha, points=sorted(pts))
+    # trapezoid error is O(h) across the uniform kinks
+    assert mine == pytest.approx(oracle, rel=5e-3)
+
+
 # -- closed forms ---------------------------------------------------------------
 
 
@@ -248,10 +269,6 @@ def test_shared_scale_extractors():
         shared_gaussian_scales(
             single_group([0.0], [0.0], ErrorDensity.uniform(1.0), ErrorDensity.gaussian(1.0))
         )
-    u = single_group([0.0], [0.0], ErrorDensity.uniform(0.4), ErrorDensity.uniform(0.2))
-    v, w = shared_uniform_halfwidths(u)
-    np.testing.assert_allclose(v, [0.4])
-    np.testing.assert_allclose(w, [0.2])
     # differing scales across points are rejected
     g = Group(
         np.array([[0.0], [1.0]]),
@@ -276,13 +293,14 @@ def test_monte_carlo_approximates_quadrature():
     rng = np.random.default_rng(5)
     d = ErrorDensity.gaussian(0.5)
     e = ErrorDensity.gaussian(0.5)
-    ds = single_group(rng.uniform(-2, 2, 6), rng.uniform(-1, 1, 6), d, e)
+    gaussian = single_group(rng.uniform(-2, 2, 6), rng.uniform(-1, 1, 6), d, e)
+    mixed = GroupedDataset((mixed_kind_group(),), 1, 1)
     alpha = [0.1, 0.6]
-    exact = nll_general(ds, LINE, FINE, alpha).value
-    mc = nll_general(
-        ds, LINE, IntegrationConfig(method=MONTE_CARLO, mc_samples=200000, seed=1), alpha
-    ).value
-    assert mc == pytest.approx(exact, rel=2e-2)
+    cfg = IntegrationConfig(method=MONTE_CARLO, mc_samples=200000, seed=1)
+    for ds in (gaussian, mixed):
+        exact = nll_general(ds, LINE, FINE, alpha).value
+        mc = nll_general(ds, LINE, cfg, alpha).value
+        assert mc == pytest.approx(exact, rel=2e-2)
 
 
 def test_monte_carlo_is_deterministic_and_order_free():

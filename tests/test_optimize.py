@@ -49,6 +49,13 @@ def test_nelder_mead_rosenbrock():
     np.testing.assert_allclose(res.alpha_hat, [1.0, 1.0], atol=1e-4)
 
 
+def test_nelder_mead_nonfinite_plateau_not_converged():
+    res = nelder_mead(lambda x: math.inf, [0.0, 0.0], OptimizerConfig(max_iters=50))
+    assert not res.converged
+    assert res.objective_at_min == math.inf
+    assert res.iterations == 24  # the simplex still collapses and stops
+
+
 def test_nelder_mead_deterministic():
     f = lambda z: float(np.sum(z**2) + math.sin(3 * z[0]))  # noqa: E731
     cfg = OptimizerConfig(restarts=3, seed=11)
