@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import os
 import sys
 import time
@@ -109,7 +108,21 @@ def _optimizer_config(args) -> OptimizerConfig:
     )
 
 
+def _finish(manifest: RunManifest, t0: float, outputs, path) -> None:
+    """Record the output digests and the run time, then write the manifest."""
+    for out in outputs:
+        manifest.add_output(out)
+    manifest.wall_seconds = time.perf_counter() - t0
+    manifest.write(path)
+
+
 def _add_common_numeric(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--objective",
+        choices=["auto"] + list(OBJECTIVE_CHOICES),
+        default="auto",
+        help="objective variant (default: the one matching the data or scenario)",
+    )
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument(
         "--method",
@@ -191,9 +204,7 @@ def _cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.txt")
     write_fit_report(report_path, result, metrics=metrics, config=config)
-    manifest.add_output(report_path)
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(os.path.join(args.out, "manifest.json"))
+    _finish(manifest, t0, [report_path], os.path.join(args.out, "manifest.json"))
 
     print("alpha_hat: " + " ".join(_fmt(a) for a in result.alpha_hat))
     print(f"objective_at_min: {_fmt(result.objective_at_min)}")
@@ -264,10 +275,9 @@ def _cmd_simulate(args) -> int:
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    manifest.add_output(deltas_path)
-    manifest.add_output(summary_path)
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(os.path.join(args.out, "manifest.json"))
+    _finish(
+        manifest, t0, [deltas_path, summary_path], os.path.join(args.out, "manifest.json")
+    )
 
     for i in range(p):
         print(
@@ -322,9 +332,7 @@ def _cmd_surface(args) -> int:
         fixed=fixed,
     )
     write_surface(args.out, grid)
-    manifest.add_output(args.out)
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(args.out + ".manifest.json")
+    _finish(manifest, t0, [args.out], args.out + ".manifest.json")
 
     print(f"argmin: {grid.argmin[0]} {grid.argmin[1]}")
     print("alpha_at_min: " + " ".join(_fmt(a) for a in grid.alpha_at_min))
@@ -347,20 +355,19 @@ def _cmd_eval(args) -> int:
     r2 = r_squared_delta(
         ingest.dataset.xs, ingest.dataset.ys[:, 0], alpha[1:], scales**2
     )
-    print(f"n_rows: {ingest.dataset.n_pairs}")
-    print("alpha: " + " ".join(_fmt(a) for a in alpha))
-    print(f"r_squared_delta: {_fmt(r2)}")
+    lines = [
+        f"n_rows: {ingest.dataset.n_pairs}",
+        "alpha: " + " ".join(_fmt(a) for a in alpha),
+        f"r_squared_delta: {_fmt(r2)}",
+    ]
+    print("\n".join(lines))
     if args.out:
         manifest = _new_manifest("eval", args)
         os.makedirs(args.out, exist_ok=True)
         eval_path = os.path.join(args.out, "eval.txt")
         with open(eval_path, "w", encoding="utf-8") as fh:
-            fh.write(f"n_rows: {ingest.dataset.n_pairs}\n")
-            fh.write("alpha: " + " ".join(_fmt(a) for a in alpha) + "\n")
-            fh.write(f"r_squared_delta: {_fmt(r2)}\n")
-        manifest.add_output(eval_path)
-        manifest.wall_seconds = time.perf_counter() - t0
-        manifest.write(os.path.join(args.out, "manifest.json"))
+            fh.write("\n".join(lines) + "\n")
+        _finish(manifest, t0, [eval_path], os.path.join(args.out, "manifest.json"))
     return EXIT_OK
 
 
@@ -379,12 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True, help="CSV file")
     p_fit.add_argument("--schema", required=True, help="schema JSON file")
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.add_argument(
-        "--objective",
-        choices=["auto"] + list(OBJECTIVE_CHOICES),
-        default="auto",
-        help="objective variant (default: closed form for Gaussian errors)",
-    )
     p_fit.add_argument(
         "--group-size",
         type=int,
@@ -408,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=20, help="replications")
     p_sim.add_argument("--pairs", type=int, default=None, help="override sample size")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument(
-        "--objective",
-        choices=["auto"] + list(OBJECTIVE_CHOICES),
-        default="auto",
-        help="objective variant (default: scenario-appropriate)",
-    )
     _add_common_numeric(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -435,11 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed", default=None, help="comma-separated values for the other parameters"
     )
     p_surf.add_argument("--out", required=True, help="output file")
-    p_surf.add_argument(
-        "--objective",
-        choices=["auto"] + list(OBJECTIVE_CHOICES),
-        default="auto",
-    )
     _add_common_numeric(p_surf)
     p_surf.set_defaults(func=_cmd_surface)
 
@@ -459,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -110,11 +110,13 @@ def density_sample(density: ErrorDensity, rng: np.random.Generator, n: int) -> n
 
 @dataclass(frozen=True, eq=False)
 class DensityParams:
-    """Global per-coordinate Gaussian scales used by the extended objective.
+    """Global per-coordinate Gaussian scales, as fitted by ``fit_extended``.
 
     ``input_scales`` has one entry per input coordinate, ``output_scales``
-    one per output coordinate. They overwrite the scales of every Gaussian
-    density in a dataset; uniform and point-mass densities are untouched.
+    one per output coordinate. ``fit_extended`` takes its scale bounds and
+    reports its fitted scales in this form; passed as the scale overrides
+    of ``nll_general`` they overwrite the scales of every Gaussian density
+    in a dataset, while uniform and point-mass densities are untouched.
     """
 
     input_scales: np.ndarray

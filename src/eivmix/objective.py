@@ -21,6 +21,9 @@ thus never reach numeric evaluation: their integral collapses to a function
 evaluation (sifting), which is also how exact classical regression
 objectives are recovered.
 
+``nll_general`` and ``CompiledObjective.evaluate`` can override every
+Gaussian scale with one global scale per coordinate; ``fit_extended`` fits them.
+
 Closed forms for the Gaussian line/hyperplane and the uniform-interval line
 avoid numeric integration entirely. The Gaussian closed forms omit one
 additive constant, ``GAUSS_LOG_NORM_PER_GROUP`` per group, relative to
@@ -32,12 +35,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .dataset import Group, GroupedDataset
-from .densities import GAUSSIAN, POINT_MASS, UNIFORM, DensityParams, density_eval
+from .dataset import GroupedDataset
+from .densities import GAUSSIAN, POINT_MASS, UNIFORM
 from .densities import _SQRT_2PI
 from .models import ParametricModel, model_eval_batch
 
@@ -111,25 +114,6 @@ class ObjectiveValue:
             value = float(-per_group_log.sum())
         per_group_log.flags.writeable = False
         return ObjectiveValue(value, per_group_log, note)
-
-
-def mixture_density_eval(group: Group, side: str, s) -> float:
-    """Evaluate a group's input or output mixture density at a point.
-
-    The mixture puts equal weight on one error density per observed point,
-    centered there. Point-mass components cannot be evaluated numerically.
-    """
-    if side == "input":
-        centers, densities = group.inputs, group.input_densities
-    elif side == "output":
-        centers, densities = group.outputs, group.output_densities
-    else:
-        raise ValueError("side must be 'input' or 'output'")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    total = 0.0
-    for c, d in zip(centers, densities):
-        total += density_eval(d, c - s)
-    return total / len(densities)
 
 
 def _pdf_product(z: np.ndarray, scale: np.ndarray, kind: str) -> np.ndarray:
@@ -241,9 +225,9 @@ class CompiledObjective:
     pure function of (dataset, alpha, config): Monte Carlo draws are fixed
     at compile time from (config seed, group index).
 
-    ``input_scales`` / ``output_scales`` overrides replace the scales of
-    every Gaussian density (per coordinate, globally); other density kinds
-    are unaffected. This is the hook the extended objective uses.
+    ``evaluate``'s ``input_scales`` / ``output_scales`` overrides replace
+    the scales of every Gaussian density (one finite scale > 0 per
+    coordinate, globally); other density kinds are unaffected.
     """
 
     def __init__(self, ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig):
@@ -281,6 +265,18 @@ class CompiledObjective:
         self.buckets = [_Bucket(rows, groups, cfg) for rows, groups in _buckets(ds)]
 
     # -- scale overrides ---------------------------------------------------
+
+    @staticmethod
+    def _checked_override(override, dim: int, side: str):
+        """The override as a float vector of shape (dim,); None passes through."""
+        if override is None:
+            return None
+        v = np.asarray(override, dtype=float)
+        if v.shape != (dim,) or not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+            raise ValueError(
+                f"{side}_scales must hold {dim} finite scales > 0, got {v.tolist()}"
+            )
+        return v
 
     @staticmethod
     def _effective_scales(scales, kinds, override):
@@ -328,6 +324,8 @@ class CompiledObjective:
         return nodes
 
     def evaluate(self, alpha, input_scales=None, output_scales=None) -> ObjectiveValue:
+        input_scales = self._checked_override(input_scales, self.ds.input_dim, "input")
+        output_scales = self._checked_override(output_scales, self.ds.output_dim, "output")
         per_group = np.empty(self.n_groups)
         for b in self.buckets:
             xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
@@ -347,74 +345,15 @@ class CompiledObjective:
 
 
 def nll_general(
-    ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig, alpha
+    ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig, alpha,
+    input_scales=None, output_scales=None,
 ) -> ObjectiveValue:
-    """General grouped mixture objective (one-shot; see CompiledObjective)."""
-    return CompiledObjective(ds, model, cfg).evaluate(alpha)
+    """General grouped mixture objective (one-shot; see CompiledObjective).
 
-
-def nll_extended(
-    ds: GroupedDataset,
-    model: ParametricModel,
-    cfg: IntegrationConfig,
-    alpha,
-    params: DensityParams,
-    bounds=None,
-) -> ObjectiveValue:
-    """General objective with all Gaussian scales replaced by global ones.
-
-    ``params`` carries one scale per input coordinate and one per output
-    coordinate; every Gaussian density in the dataset is evaluated with
-    those scales instead of its stored ones (normalization included, so
-    scale changes move the objective). Uniform and point-mass densities are
-    untouched. ``bounds`` is an optional (lower, upper) pair of
-    DensityParams; scales at or outside the box are a contract violation.
-    Default bounds are (1e-8, 1e8) per coordinate.
+    ``input_scales`` / ``output_scales`` optionally replace the scales of
+    every Gaussian density, as in ``CompiledObjective.evaluate``.
     """
-    k, m = ds.input_dim, ds.output_dim
-    if params.input_scales.shape != (k,) or params.output_scales.shape != (m,):
-        raise ValueError(
-            f"params must hold {k} input and {m} output scales, got "
-            f"{params.input_scales.shape} and {params.output_scales.shape}"
-        )
-    if bounds is None:
-        lo = DensityParams(np.full(k, 1e-8), np.full(m, 1e-8))
-        hi = DensityParams(np.full(k, 1e8), np.full(m, 1e8))
-    else:
-        lo, hi = bounds
-    ok = (
-        np.all(params.input_scales > lo.input_scales)
-        and np.all(params.input_scales < hi.input_scales)
-        and np.all(params.output_scales > lo.output_scales)
-        and np.all(params.output_scales < hi.output_scales)
-    )
-    if not ok:
-        raise ValueError("density scales at or outside the configured bounds")
-    return CompiledObjective(ds, model, cfg).evaluate(
-        alpha, input_scales=params.input_scales, output_scales=params.output_scales
-    )
-
-
-def log_posterior(
-    ds: GroupedDataset,
-    model: ParametricModel,
-    cfg: IntegrationConfig,
-    prior: Callable[[np.ndarray], float],
-    alpha,
-) -> float:
-    """Unnormalized log posterior: prior(alpha) minus the general objective.
-
-    A constant prior reproduces maximum likelihood; a -inf prior (e.g. a box
-    constraint) excludes the point regardless of the data term.
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    p = float(prior(alpha))
-    if p == -math.inf:
-        return -math.inf
-    v = nll_general(ds, model, cfg, alpha).value
-    if v == math.inf:
-        return -math.inf
-    return -v + p
+    return CompiledObjective(ds, model, cfg).evaluate(alpha, input_scales, output_scales)
 
 
 # -- shared-scale extraction ------------------------------------------------

@@ -162,8 +162,6 @@ def _chunk_labels(order: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
         return labels
     if spec.name == "cubic" and spec.R < L:
         lost = L - spec.R + 2
-        if lost < 2:
-            raise ValueError("cubic unpaired areas need R <= L - 1")
         s1 = lost // 2
         s2 = lost - s1
         start1 = max(L // 6 - s1 // 2, 0)

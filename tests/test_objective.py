@@ -8,18 +8,13 @@ from oracles import quad_oracle_value, single_group
 from eivmix import (
     MONTE_CARLO,
     CompiledObjective,
-    DensityParams,
     ErrorDensity,
     Group,
     GroupedDataset,
     IntegrationConfig,
     ParametricModel,
     as_grouped,
-    density_eval,
     likelihood_interval_line,
-    log_posterior,
-    mixture_density_eval,
-    nll_extended,
     nll_gaussian_hyperplane,
     nll_gaussian_line,
     nll_general,
@@ -125,17 +120,6 @@ def test_interval_line_negative_slope_symmetry():
     ds_m = single_group([-x for x in xs], ys, u, w)
     b = likelihood_interval_line(ds_m, [0.2, -0.9]).value
     assert a == pytest.approx(b, rel=1e-14)
-
-
-def test_mixture_density_eval():
-    g = Group(np.array([[0.0], [2.0]]), np.array([[1.0]]), (G1, G1), (G1,))
-    got = mixture_density_eval(g, "input", [1.0])
-    phi1 = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-    assert got == pytest.approx(phi1, rel=1e-14)  # both components at distance 1
-    got_out = mixture_density_eval(g, "output", [1.0])
-    assert got_out == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-14)
-    with pytest.raises(ValueError):
-        mixture_density_eval(g, "sideways", [0.0])
 
 
 # -- oracle cross-checks -------------------------------------------------------
@@ -348,8 +332,7 @@ def test_extended_scale_override():
     ds_03 = single_group(xs, ys, ErrorDensity.gaussian(0.3), ErrorDensity.gaussian(0.6))
     ds_05 = single_group(xs, ys, ErrorDensity.gaussian(0.5), ErrorDensity.gaussian(0.2))
     alpha = [0.2, 0.4]
-    params = DensityParams(np.array([0.5]), np.array([0.2]))
-    got = nll_extended(ds_03, LINE, FINE, alpha, params)
+    got = nll_general(ds_03, LINE, FINE, alpha, input_scales=[0.5], output_scales=[0.2])
     want = nll_general(ds_05, LINE, FINE, alpha)
     assert got.value == pytest.approx(want.value, rel=1e-9)
 
@@ -358,32 +341,40 @@ def test_extended_leaves_uniform_untouched():
     xs, ys = [0.0], [0.0]
     u = ErrorDensity.uniform(1.0)
     ds = single_group(xs, ys, u, u)
-    params = DensityParams(np.array([5.0]), np.array([5.0]))
-    got = nll_extended(ds, LINE, FINE, [0.0, 1.0], params)
+    got = nll_general(ds, LINE, FINE, [0.0, 1.0], input_scales=[5.0], output_scales=[5.0])
     want = nll_general(ds, LINE, FINE, [0.0, 1.0])
     assert got.value == pytest.approx(want.value, rel=1e-12)
 
 
 def test_extended_bounds_contract():
+    # overrides must be finite, > 0 and one per coordinate, on both entry points
     ds = single_group([0.0], [0.0], G1, G1)
-    params = DensityParams(np.array([1e-9]), np.array([1.0]))
-    with pytest.raises(ValueError, match="bounds"):
-        nll_extended(ds, LINE, FINE, [0.0, 1.0], params)
-    lo = DensityParams(np.array([0.5]), np.array([0.5]))
-    hi = DensityParams(np.array([2.0]), np.array([2.0]))
-    with pytest.raises(ValueError, match="bounds"):
-        nll_extended(
-            ds, LINE, FINE, [0.0, 1.0], DensityParams(np.array([0.5]), np.array([1.0])),
-            bounds=(lo, hi),
-        )
+    rng = np.random.default_rng(5)
+    g2 = ErrorDensity.gaussian([0.5, 0.5])
+    ds2 = GroupedDataset(
+        (Group(rng.normal(size=(4, 2)), rng.normal(size=(4, 1)), (g2,) * 4, (G1,) * 4),),
+        2,
+        1,
+    )
+    plane = ParametricModel.affine_kd(2)
+    cfg = IntegrationConfig()
+    cases = [
+        (ds, LINE, [0.0, 1.0], {"input_scales": [0.0]}),
+        (ds, LINE, [0.0, 1.0], {"input_scales": [-0.5]}),
+        (ds, LINE, [0.0, 1.0], {"output_scales": [math.nan]}),
+        (ds2, plane, [0.0, 1.0, 1.0], {"input_scales": [0.3]}),
+    ]
+    for data, model, alpha, override in cases:
+        with pytest.raises(ValueError, match="scale"):
+            nll_general(data, model, cfg, alpha, **override)
+        with pytest.raises(ValueError, match="scale"):
+            CompiledObjective(data, model, cfg).evaluate(alpha, **override)
 
 
 def test_extended_dimension_check():
     ds = single_group([0.0], [0.0], G1, G1)
     with pytest.raises(ValueError, match="scales"):
-        nll_extended(
-            ds, LINE, FINE, [0.0, 1.0], DensityParams(np.array([1.0, 1.0]), np.array([1.0]))
-        )
+        nll_general(ds, LINE, FINE, [0.0, 1.0], input_scales=[1.0, 1.0], output_scales=[1.0])
 
 
 # -- infrastructure ---------------------------------------------------------------
@@ -448,16 +439,3 @@ def test_integration_config_validation():
     assert IntegrationConfig().points_for_dim(1) == 201
     assert IntegrationConfig().points_for_dim(2) == 61
     assert IntegrationConfig(grid_points_per_dim=301).points_for_dim(2) == 301
-
-
-def test_log_posterior():
-    ds = single_group([0.0], [0.0], G1, G1)
-    flat = lambda a: 0.0  # noqa: E731
-    lp = log_posterior(ds, LINE, FINE, flat, [0.0, 1.0])
-    assert lp == pytest.approx(-1.2655121234846454, abs=1e-10)
-    box = lambda a: -math.inf if abs(a[1]) > 0.5 else 0.0  # noqa: E731
-    assert log_posterior(ds, LINE, FINE, box, [0.0, 1.0]) == -math.inf
-    shifted = lambda a: 1.5  # noqa: E731
-    assert log_posterior(ds, LINE, FINE, shifted, [0.0, 1.0]) == pytest.approx(
-        lp + 1.5, abs=1e-10
-    )
