@@ -8,6 +8,10 @@ special case of singleton groups, fully unpaired data the case of one
 group. Closed forms cover Gaussian errors with affine models and uniform
 errors with line models; everything else runs through quadrature or Monte
 Carlo integration.
+
+The package namespace holds the documented API. Compiled objectives, the
+optimizer core, result-file I/O, density and model evaluation helpers and
+the bundled analog table are imported from their own modules.
 """
 
 __version__ = "0.1.0"
@@ -17,7 +21,6 @@ from .baselines import (
     GROUP_MEAN,
     deming_line,
     imputation_fit,
-    integrated_deming_penalty,
     ols_general,
     ols_line,
 )
@@ -27,54 +30,22 @@ from .dataset import (
     PairedDataset,
     as_grouped,
     build_grouped,
-    cross_pair_expansion,
-    group_mean_pairs,
-    group_overlap_diagnostic,
     partition_by_key,
 )
-from .densities import (
-    GAUSSIAN,
-    POINT_MASS,
-    UNIFORM,
-    DensityParams,
-    ErrorDensity,
-    density_eval,
-    density_sample,
-)
-from .data_io import (
-    AUTO15,
-    IngestResult,
-    RunManifest,
-    TabularSchema,
-    make_worldbank_analog,
-    paired_subset,
-    read_csv,
-    read_fit_report,
-    read_surface,
-    split_indices,
-    train_test_split,
-    worldbank_analog_path,
-    worldbank_analog_schema,
-    write_fit_report,
-    write_surface,
-    write_worldbank_analog,
-)
-from .metrics import ResidualSummary, r_squared_delta, residual_summary
-from .models import ParametricModel, model_eval, model_eval_batch
+from .densities import GAUSSIAN, POINT_MASS, UNIFORM, DensityParams, ErrorDensity
+from .data_io import AUTO15, IngestResult, TabularSchema, read_csv
+from .metrics import ResidualSummary, r_squared_delta
+from .models import ParametricModel
 from .objective import (
     GAUSS_LOG_NORM_PER_GROUP,
     MONTE_CARLO,
     QUADRATURE,
-    CompiledGaussianPlane,
-    CompiledIntervalLine,
-    CompiledObjective,
     IntegrationConfig,
     ObjectiveValue,
     likelihood_interval_line,
     nll_gaussian_hyperplane,
     nll_gaussian_line,
     nll_general,
-    shared_gaussian_scales,
 )
 from .optimize import (
     GAUSS_LINE,
@@ -87,7 +58,6 @@ from .optimize import (
     SurfaceGrid,
     fit,
     fit_extended,
-    nelder_mead,
     objective_surface,
 )
 from .simulate import (
@@ -117,9 +87,6 @@ __all__ = [
     "QUADRATURE",
     "SCENARIO_NAMES",
     "UNIFORM",
-    "CompiledGaussianPlane",
-    "CompiledIntervalLine",
-    "CompiledObjective",
     "DensityParams",
     "ErrorDensity",
     "FitResult",
@@ -133,50 +100,27 @@ __all__ = [
     "ParametricModel",
     "ReplicationReport",
     "ResidualSummary",
-    "RunManifest",
     "ScenarioSpec",
     "SurfaceGrid",
     "TabularSchema",
     "as_grouped",
     "build_grouped",
-    "cross_pair_expansion",
     "deming_line",
-    "density_eval",
-    "density_sample",
     "fit",
     "fit_extended",
     "generate_scenario",
-    "group_mean_pairs",
-    "group_overlap_diagnostic",
     "imputation_fit",
-    "integrated_deming_penalty",
     "likelihood_interval_line",
-    "make_worldbank_analog",
-    "model_eval",
-    "model_eval_batch",
-    "nelder_mead",
     "nll_gaussian_hyperplane",
     "nll_gaussian_line",
     "nll_general",
     "objective_surface",
     "ols_general",
     "ols_line",
-    "paired_subset",
     "partition_by_key",
     "r_squared_delta",
     "read_csv",
-    "read_fit_report",
-    "read_surface",
     "replicate",
-    "residual_summary",
     "scenario_model",
     "scenario_spec",
-    "shared_gaussian_scales",
-    "split_indices",
-    "train_test_split",
-    "worldbank_analog_path",
-    "worldbank_analog_schema",
-    "write_fit_report",
-    "write_surface",
-    "write_worldbank_analog",
 ]

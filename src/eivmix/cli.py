@@ -34,8 +34,8 @@ from .data_io import (
     write_surface,
 )
 from .dataset import as_grouped, partition_by_key
-from .metrics import r_squared_delta, residual_summary
-from .models import ParametricModel
+from .metrics import r_squared_delta
+from .models import AFFINE_1D, AFFINE_KD, ParametricModel
 from .objective import MONTE_CARLO, QUADRATURE, IntegrationConfig
 from .optimize import (
     GAUSS_LINE,
@@ -48,7 +48,9 @@ from .optimize import (
     objective_surface,
 )
 from .simulate import (
+    GAUSSIAN_NOISE,
     SCENARIO_NAMES,
+    UNIFORM_NOISE,
     generate_scenario,
     replicate,
     scenario_model,
@@ -58,16 +60,6 @@ from .simulate import (
 EXIT_OK = 0
 EXIT_DATA = 3
 EXIT_NO_CONVERGENCE = 4
-
-_SCENARIO_OBJECTIVE = {
-    "A": GAUSS_LINE,
-    "B": GAUSS_LINE,
-    "C": GAUSS_LINE,
-    "D": INTERVAL_LINE,
-    "plane": GAUSS_PLANE,
-    "plane-switched": GAUSS_PLANE,
-    "cubic": GENERAL,
-}
 
 
 def _utc_now() -> str:
@@ -106,6 +98,18 @@ def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(
         max_iters=args.max_iters, restarts=args.restarts, seed=args.seed
     )
+
+
+def _resolve_objective(choice: str, model: ParametricModel, noise_kind: str) -> str:
+    """The --objective choice; "auto" takes the closed form that matches the
+    model and the noise, or the general objective where none does."""
+    if choice != "auto":
+        return choice
+    if model.family not in (AFFINE_1D, AFFINE_KD):
+        return GENERAL
+    if noise_kind == UNIFORM_NOISE:
+        return INTERVAL_LINE
+    return GAUSS_LINE if model.input_dim == 1 else GAUSS_PLANE
 
 
 def _finish(manifest: RunManifest, t0: float, outputs, path) -> None:
@@ -166,9 +170,8 @@ def _cmd_fit(args) -> int:
 
     k = ingest.dataset.input_dim
     model = ParametricModel.affine_1d() if k == 1 else ParametricModel.affine_kd(k)
-    objective = args.objective
-    if objective == "auto":
-        objective = GAUSS_LINE if k == 1 else GAUSS_PLANE
+    # read_csv attaches Gaussian error densities
+    objective = _resolve_objective(args.objective, model, GAUSSIAN_NOISE)
 
     result = fit_dataset(
         grouped, model, objective, _integration_config(args), _optimizer_config(args)
@@ -225,9 +228,7 @@ def _cmd_simulate(args) -> int:
     if args.pairs is not None:
         overrides["L"] = args.pairs
     spec = scenario_spec(args.scenario, R=args.groups, **overrides)
-    objective = args.objective
-    if objective == "auto":
-        objective = _SCENARIO_OBJECTIVE[args.scenario]
+    objective = _resolve_objective(args.objective, scenario_model(spec), spec.noise_kind)
     report = replicate(
         spec,
         args.reps,
@@ -236,7 +237,7 @@ def _cmd_simulate(args) -> int:
         _optimizer_config(args),
         master_seed=args.seed,
     )
-    summary = residual_summary(report.fits, np.asarray(spec.alpha))
+    summary = report.summary
 
     os.makedirs(args.out, exist_ok=True)
     deltas_path = os.path.join(args.out, "deltas.csv")
@@ -301,9 +302,7 @@ def _cmd_surface(args) -> int:
     manifest = _new_manifest("surface", args)
     spec = scenario_spec(args.scenario, R=args.groups)
     model = scenario_model(spec)
-    objective = args.objective
-    if objective == "auto":
-        objective = _SCENARIO_OBJECTIVE[args.scenario]
+    objective = _resolve_objective(args.objective, model, spec.noise_kind)
 
     axes = [int(v) for v in args.axes.split(",")]
     if len(axes) != 2 or len(set(axes)) != 2:

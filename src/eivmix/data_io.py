@@ -208,14 +208,6 @@ def paired_subset(ds: PairedDataset, idx) -> PairedDataset:
     )
 
 
-def train_test_split(ds: PairedDataset, n_test: int, seed: int) -> tuple:
-    """Random disjoint split of the pairs, reproducible from the seed."""
-    train, test = split_indices(ds.n_pairs, n_test, seed)
-    if n_test == 0:
-        return paired_subset(ds, train), None
-    return paired_subset(ds, train), paired_subset(ds, test)
-
-
 # -- fit reports --------------------------------------------------------------
 
 

@@ -100,14 +100,6 @@ class GroupedDataset:
     def n_groups(self) -> int:
         return len(self.groups)
 
-    @property
-    def total_inputs(self) -> int:
-        return sum(g.n_inputs for g in self.groups)
-
-    @property
-    def total_outputs(self) -> int:
-        return sum(g.n_outputs for g in self.groups)
-
 
 @dataclass(frozen=True, eq=False)
 class PairedDataset:

@@ -127,7 +127,7 @@ class DensityParams:
             v = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if v.ndim != 1:
                 raise ValueError(f"{name} must be a vector")
-            if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
+            if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+                raise ValueError(f"{name} must be finite and > 0")
             v.flags.writeable = False
             object.__setattr__(self, name, v)

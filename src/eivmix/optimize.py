@@ -27,8 +27,6 @@ from .objective import (
     shared_gaussian_scales,
 )
 
-NELDER_MEAD = "nelder-mead"
-
 GENERAL = "general"
 GAUSS_LINE = "gauss-line"
 GAUSS_PLANE = "gauss-plane"
@@ -39,7 +37,6 @@ OBJECTIVE_CHOICES = (GENERAL, GAUSS_LINE, GAUSS_PLANE, INTERVAL_LINE)
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = NELDER_MEAD
     max_iters: int = 2000
     x_tol: float = 1e-8
     f_tol: float = 1e-10
@@ -48,8 +45,6 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method != NELDER_MEAD:
-            raise ValueError(f"unknown optimizer method {self.method!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.x_tol > 0 and self.f_tol > 0):
@@ -241,8 +236,6 @@ def fit_extended(
         raise ValueError("scale bounds must match dataset dimensions")
     lo_all = np.concatenate([lo.input_scales, lo.output_scales])
     hi_all = np.concatenate([hi.input_scales, hi.output_scales])
-    if np.any(lo_all <= 0):
-        raise ValueError("lower scale bounds must be > 0")
     if np.any(lo_all > hi_all):
         raise ValueError("lower scale bounds must not exceed upper bounds")
 

@@ -39,7 +39,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .dataset import Group, GroupedDataset
-from .densities import ErrorDensity
+from .densities import ErrorDensity, density_sample
 from .metrics import ResidualSummary, residual_summary
 from .models import ParametricModel, model_eval_batch
 from .objective import IntegrationConfig
@@ -50,6 +50,8 @@ UNIFORM_NOISE = "uniform"
 
 SCENARIO_NAMES = ("A", "B", "C", "D", "plane", "plane-switched", "cubic")
 
+_X_RANGE = (-3.0, 3.0)
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -58,22 +60,16 @@ class ScenarioSpec:
     name: str
     input_dim: int
     L: int
-    H: int
     R: Union[int, Tuple[int, ...]]
     alpha: Tuple[float, ...]
     sigma_eta: Tuple[float, ...]
     sigma_eps: float
     noise_kind: str = GAUSSIAN_NOISE
-    x_low: float = -3.0
-    x_high: float = 3.0
     label_switch_fraction: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.L < 1 or self.H < 1:
-            raise ValueError("L and H must be >= 1")
-        if self.H != self.L:
-            raise ValueError("scenario generation draws pairs; H must equal L")
+        if self.L < 1:
+            raise ValueError("L must be >= 1")
         if self.noise_kind not in (GAUSSIAN_NOISE, UNIFORM_NOISE):
             raise ValueError(f"unknown noise kind {self.noise_kind!r}")
         if isinstance(self.R, int):
@@ -90,8 +86,6 @@ class ScenarioSpec:
             raise ValueError("noise scales must be > 0")
         if not 0.0 <= self.label_switch_fraction < 1.0:
             raise ValueError("label_switch_fraction must be in [0, 1)")
-        if not self.x_low < self.x_high:
-            raise ValueError("empty input range")
 
     @property
     def n_groups(self) -> int:
@@ -133,9 +127,6 @@ def scenario_spec(name: str, R=None, **overrides) -> ScenarioSpec:
         raise ValueError(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
     params = dict(_PRESETS[name])
     params.update(overrides)
-    if "L" in overrides and "H" not in overrides:
-        params["H"] = overrides["L"]
-    params.setdefault("H", params["L"])
     if R is None:
         R = params["L"]
     return ScenarioSpec(name=name, R=R, **params)
@@ -251,21 +242,17 @@ def generate_scenario(spec: ScenarioSpec, rng: np.random.Generator, return_laten
     model = scenario_model(spec)
     alpha = np.asarray(spec.alpha, dtype=float)
     k = spec.input_dim
-    x_true = rng.uniform(spec.x_low, spec.x_high, (spec.L, k))
+    x_true = rng.uniform(*_X_RANGE, (spec.L, k))
     y_true = model_eval_batch(model, alpha, x_true)
     sigma_eta = np.asarray(spec.sigma_eta, dtype=float)
     if spec.noise_kind == GAUSSIAN_NOISE:
-        eta = rng.standard_normal((spec.L, k)) * sigma_eta
-        eps = rng.standard_normal((spec.L, 1)) * spec.sigma_eps
         in_density = ErrorDensity.gaussian(sigma_eta)
         out_density = ErrorDensity.gaussian([spec.sigma_eps])
     else:
-        half_in = math.sqrt(3.0) * sigma_eta
-        half_out = math.sqrt(3.0) * spec.sigma_eps
-        eta = rng.uniform(-1.0, 1.0, (spec.L, k)) * half_in
-        eps = rng.uniform(-1.0, 1.0, (spec.L, 1)) * half_out
-        in_density = ErrorDensity.uniform(half_in)
-        out_density = ErrorDensity.uniform([half_out])
+        in_density = ErrorDensity.uniform(math.sqrt(3.0) * sigma_eta)
+        out_density = ErrorDensity.uniform([math.sqrt(3.0) * spec.sigma_eps])
+    eta = density_sample(in_density, rng, spec.L)
+    eps = density_sample(out_density, rng, spec.L)
     x_obs = x_true + eta
     y_obs = y_true + eps
 
@@ -304,7 +291,6 @@ class ReplicationReport:
     fits: List[FitResult]
     summary: ResidualSummary
     total_seconds: float
-    mean_seconds: float
     failures: List[Tuple[int, str]]
 
 
@@ -346,6 +332,5 @@ def replicate(
         fits=fits,
         summary=summary,
         total_seconds=total,
-        mean_seconds=total / n_reps,
         failures=failures,
     )

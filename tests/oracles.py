@@ -10,7 +10,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from eivmix import Group, GroupedDataset, density_eval, model_eval
+from eivmix import Group, GroupedDataset
+from eivmix.densities import density_eval
+from eivmix.models import model_eval
 
 
 def single_group(x, y, din, dout):

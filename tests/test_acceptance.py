@@ -34,11 +34,9 @@ from eivmix import (
     ParametricModel,
     as_grouped,
     deming_line,
-    density_eval,
     fit,
     generate_scenario,
     imputation_fit,
-    integrated_deming_penalty,
     likelihood_interval_line,
     nll_gaussian_hyperplane,
     nll_gaussian_line,
@@ -50,8 +48,10 @@ from eivmix import (
     scenario_model,
     scenario_spec,
 )
+from eivmix.baselines import integrated_deming_penalty
 from eivmix.cli import main as cli_main
 from eivmix.data_io import worldbank_analog_path
+from eivmix.densities import density_eval
 
 LINE = ParametricModel.affine_1d()
 MASTER = 20260816

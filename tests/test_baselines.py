@@ -14,10 +14,10 @@ from eivmix import (
     as_grouped,
     deming_line,
     imputation_fit,
-    integrated_deming_penalty,
     ols_general,
     ols_line,
 )
+from eivmix.baselines import integrated_deming_penalty
 
 G1 = ErrorDensity.gaussian(1.0)
 LINE = ParametricModel.affine_1d()

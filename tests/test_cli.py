@@ -3,7 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from eivmix.cli import main
+from eivmix import (
+    GAUSS_LINE,
+    GAUSS_PLANE,
+    GENERAL,
+    INTERVAL_LINE,
+    SCENARIO_NAMES,
+    ParametricModel,
+    scenario_model,
+    scenario_spec,
+)
+from eivmix.cli import _resolve_objective, main
 from eivmix.data_io import (
     RunManifest,
     TabularSchema,
@@ -12,6 +22,7 @@ from eivmix.data_io import (
     worldbank_analog_path,
     worldbank_analog_schema,
 )
+from eivmix.simulate import GAUSSIAN_NOISE
 
 
 @pytest.fixture()
@@ -172,3 +183,26 @@ def test_eval_parameter_mismatch(tmp_path, line_csv, capsys):
                "--schema", str(schema)])
     assert rc == 3
     assert "parameters" in capsys.readouterr().err
+
+
+def test_auto_objective_follows_model_and_noise():
+    expected = {
+        "A": GAUSS_LINE,
+        "B": GAUSS_LINE,
+        "C": GAUSS_LINE,
+        "D": INTERVAL_LINE,
+        "plane": GAUSS_PLANE,
+        "plane-switched": GAUSS_PLANE,
+        "cubic": GENERAL,
+    }
+    assert set(expected) == set(SCENARIO_NAMES)
+    for name in SCENARIO_NAMES:
+        spec = scenario_spec(name)
+        chosen = _resolve_objective("auto", scenario_model(spec), spec.noise_kind)
+        assert chosen == expected[name], name
+    # fit: an affine model on CSV data, whose error densities are Gaussian
+    line, plane = ParametricModel.affine_1d(), ParametricModel.affine_kd(4)
+    assert _resolve_objective("auto", line, GAUSSIAN_NOISE) == GAUSS_LINE
+    assert _resolve_objective("auto", plane, GAUSSIAN_NOISE) == GAUSS_PLANE
+    # an explicit choice passes through
+    assert _resolve_objective(GENERAL, line, GAUSSIAN_NOISE) == GENERAL

@@ -17,7 +17,6 @@ from eivmix.data_io import (
     read_surface,
     report_alpha,
     split_indices,
-    train_test_split,
     worldbank_analog_path,
     worldbank_analog_schema,
     write_fit_report,
@@ -178,17 +177,6 @@ def test_split_indices_validation():
         split_indices(5, 5, seed=0)
     with pytest.raises(ValueError):
         split_indices(5, -1, seed=0)
-
-
-def test_train_test_split(tmp_path):
-    p = write(tmp_path, "x,y\n" + "".join(f"{i},{2 * i}\n" for i in range(1, 11)))
-    res = read_csv(p, basic_schema())
-    train, test = train_test_split(res.dataset, n_test=4, seed=1)
-    assert train.n_pairs == 6 and test.n_pairs == 4
-    both = np.sort(np.concatenate([train.xs[:, 0], test.xs[:, 0]]))
-    np.testing.assert_allclose(both, np.arange(1, 11))
-    train2, test2 = train_test_split(res.dataset, n_test=0, seed=1)
-    assert test2 is None and train2.n_pairs == 10
 
 
 def test_paired_subset_keeps_densities(tmp_path):

@@ -8,11 +8,9 @@ from eivmix import (
     PairedDataset,
     as_grouped,
     build_grouped,
-    cross_pair_expansion,
-    group_mean_pairs,
-    group_overlap_diagnostic,
     partition_by_key,
 )
+from eivmix.dataset import cross_pair_expansion, group_mean_pairs, group_overlap_diagnostic
 
 G1 = ErrorDensity.gaussian(1.0)
 
@@ -43,7 +41,6 @@ def test_grouped_dataset_validation():
     g = Group(np.array([[1.0]]), np.array([[1.0]]), (G1,), (G1,))
     ds = GroupedDataset((g, g), 1, 1)
     assert ds.n_groups == 2
-    assert ds.total_inputs == 2 and ds.total_outputs == 2
     with pytest.raises(ValueError):
         GroupedDataset((), 1, 1)
     with pytest.raises(ValueError):

@@ -7,9 +7,8 @@ from eivmix import (
     UNIFORM,
     DensityParams,
     ErrorDensity,
-    density_eval,
-    density_sample,
 )
+from eivmix.densities import density_eval, density_sample
 
 # standard normal pdf at 1 and at 0, to 17 digits
 PHI_1 = 0.24197072451914337
@@ -152,5 +151,7 @@ def test_density_params_validation():
     assert p.input_scales.shape == (2,)
     with pytest.raises(ValueError):
         DensityParams(np.array([-0.1]), np.array([0.3]))
+    with pytest.raises(ValueError):
+        DensityParams(np.array([0.1]), np.array([0.0]))
     with pytest.raises(ValueError):
         DensityParams(np.array([[0.1]]), np.array([0.3]))

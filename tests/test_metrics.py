@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from eivmix import FitResult, r_squared_delta, residual_summary
+from eivmix import FitResult, r_squared_delta
+from eivmix.metrics import residual_summary
 
 
 def classical_r2(x, y):

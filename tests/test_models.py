@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from eivmix import ParametricModel, model_eval, model_eval_batch
+from eivmix import ParametricModel
+from eivmix.models import model_eval, model_eval_batch
 
 
 def test_affine_1d():

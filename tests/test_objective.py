@@ -7,7 +7,6 @@ from oracles import quad_oracle_value, single_group
 
 from eivmix import (
     MONTE_CARLO,
-    CompiledObjective,
     ErrorDensity,
     Group,
     GroupedDataset,
@@ -18,9 +17,8 @@ from eivmix import (
     nll_gaussian_hyperplane,
     nll_gaussian_line,
     nll_general,
-    shared_gaussian_scales,
 )
-from eivmix.objective import GAUSS_LOG_NORM_PER_GROUP
+from eivmix.objective import GAUSS_LOG_NORM_PER_GROUP, CompiledObjective, shared_gaussian_scales
 from eivmix import PairedDataset
 
 LINE = ParametricModel.affine_1d()

@@ -17,9 +17,9 @@ from eivmix import (
     as_grouped,
     fit,
     fit_extended,
-    nelder_mead,
     objective_surface,
 )
+from eivmix.optimize import nelder_mead
 
 LINE = ParametricModel.affine_1d()
 
@@ -218,8 +218,6 @@ def test_objective_surface_validation():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(method="bfgs")
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):

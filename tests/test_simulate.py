@@ -7,7 +7,6 @@ from eivmix import (
     ErrorDensity,
     IntegrationConfig,
     OptimizerConfig,
-    ScenarioSpec,
     generate_scenario,
     replicate,
     scenario_model,
@@ -20,7 +19,7 @@ SQRT3_02 = 0.34641016151377546  # sqrt(3) * 0.2
 
 def test_preset_table():
     a = scenario_spec("A")
-    assert (a.input_dim, a.L, a.H) == (1, 300, 300)
+    assert (a.input_dim, a.L) == (1, 300)
     assert a.alpha == (0.0, 0.5)
     assert a.sigma_eta == (0.2,) and a.sigma_eps == 0.2
     assert a.n_groups == 300  # paired by default
@@ -50,11 +49,6 @@ def test_spec_validation():
         scenario_spec("A", R=301)
     with pytest.raises(ValueError, match="sum to L"):
         scenario_spec("A", R=(100, 100))
-    with pytest.raises(ValueError, match="H must equal L"):
-        ScenarioSpec(
-            name="A", input_dim=1, L=10, H=5, R=1, alpha=(0.0, 0.5),
-            sigma_eta=(0.2,), sigma_eps=0.2,
-        )
     with pytest.raises(ValueError):
         scenario_spec("A", sigma_eps=0.0)
     spec = scenario_spec("A", R=(100, 150, 50))
