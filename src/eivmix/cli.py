@@ -141,8 +141,13 @@ def _add_common_numeric(p: argparse.ArgumentParser) -> None:
         "--grid-points",
         type=int,
         default=None,
-        help="quadrature points per input dimension (odd, default 201 or 61)",
+        help="quadrature points per input dimension (odd, default 201 or 61); "
+        "with 4 or more inputs the default 61^k grid exceeds the grid budget, "
+        "so pass a smaller value (at most 45 for 4 inputs) or --method monte-carlo",
     )
+
+
+def _add_optimizer(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-iters", type=int, default=2000, help="optimizer iteration cap"
     )
@@ -251,7 +256,7 @@ def _cmd_simulate(args) -> int:
         for r, f in enumerate(report.fits):
             row = [str(r)]
             row += [_fmt(a) for a in f.alpha_hat]
-            row += [_fmt(d) for d in (np.asarray(f.alpha_hat) - np.asarray(spec.alpha))]
+            row += [_fmt(d) for d in summary.deltas[r]]
             row += [str(f.iterations), str(f.converged)]
             fh.write(",".join(row) + "\n")
 
@@ -398,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows held out for evaluation (default 20)",
     )
     _add_common_numeric(p_fit)
+    _add_optimizer(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="replicated synthetic study")
@@ -409,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pairs", type=int, default=None, help="override sample size")
     p_sim.add_argument("--out", required=True, help="output directory")
     _add_common_numeric(p_sim)
+    _add_optimizer(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_surf = sub.add_parser("surface", help="objective values on a parameter grid")

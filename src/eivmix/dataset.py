@@ -10,6 +10,7 @@ holding everything is the completely unpaired case.
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,6 +151,32 @@ class PairedDataset:
         return self.ys.shape[1]
 
 
+def _grouped(xs, ys, input_densities, output_densities, members) -> GroupedDataset:
+    """One group per (input rows, output rows) pair of ``members``, in order."""
+    groups = tuple(
+        Group(
+            xs[ii],
+            ys[oo],
+            [input_densities[i] for i in ii],
+            [output_densities[i] for i in oo],
+        )
+        for ii, oo in members
+    )
+    return GroupedDataset(groups, xs.shape[1], ys.shape[1])
+
+
+def _label_list(labels) -> list:
+    # Python scalars hash several times faster than numpy ones
+    return labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+
+
+def _rows_by_label(labels: list) -> dict:
+    rows = defaultdict(list)
+    for i, v in enumerate(labels):
+        rows[v].append(i)
+    return rows
+
+
 def build_grouped(
     inputs,
     outputs,
@@ -169,49 +196,30 @@ def build_grouped(
     outputs = np.asarray(outputs, dtype=float)
     if outputs.ndim == 1:
         outputs = outputs[:, None]
-    input_labels = list(input_labels)
-    output_labels = list(output_labels)
+    input_labels = _label_list(input_labels)
+    output_labels = _label_list(output_labels)
     if len(input_labels) != inputs.shape[0]:
         raise ValueError("one label per input required")
     if len(output_labels) != outputs.shape[0]:
         raise ValueError("one label per output required")
-    in_set, out_set = set(input_labels), set(output_labels)
-    if in_set != out_set:
-        only_in = sorted(str(v) for v in (in_set - out_set))
-        only_out = sorted(str(v) for v in (out_set - in_set))
+    in_rows = _rows_by_label(input_labels)
+    out_rows = _rows_by_label(output_labels)
+    if in_rows.keys() != out_rows.keys():
+        only_in = sorted(str(v) for v in (in_rows.keys() - out_rows.keys()))
+        only_out = sorted(str(v) for v in (out_rows.keys() - in_rows.keys()))
         raise ValueError(
             "label alphabets differ between sides "
             f"(inputs only: {only_in}, outputs only: {only_out})"
         )
-    input_densities = list(input_densities)
-    output_densities = list(output_densities)
-    groups = []
-    for label in sorted(in_set, key=lambda v: (str(type(v)), v)):
-        ii = [i for i, v in enumerate(input_labels) if v == label]
-        oo = [i for i, v in enumerate(output_labels) if v == label]
-        groups.append(
-            Group(
-                inputs[ii],
-                outputs[oo],
-                tuple(input_densities[i] for i in ii),
-                tuple(output_densities[i] for i in oo),
-            )
-        )
-    return GroupedDataset(tuple(groups), inputs.shape[1], outputs.shape[1])
+    order = sorted(in_rows, key=lambda v: (str(type(v)), v))
+    members = [(in_rows[v], out_rows[v]) for v in order]
+    return _grouped(inputs, outputs, list(input_densities), list(output_densities), members)
 
 
 def as_grouped(ds: PairedDataset) -> GroupedDataset:
     """View paired data as L singleton groups (pairing kept intact)."""
-    groups = tuple(
-        Group(
-            ds.xs[l : l + 1],
-            ds.ys[l : l + 1],
-            (ds.input_densities[l],),
-            (ds.output_densities[l],),
-        )
-        for l in range(ds.n_pairs)
-    )
-    return GroupedDataset(groups, ds.input_dim, ds.output_dim)
+    members = [([l], [l]) for l in range(ds.n_pairs)]
+    return _grouped(ds.xs, ds.ys, ds.input_densities, ds.output_densities, members)
 
 
 def partition_by_key(ds: PairedDataset, key, group_size: int) -> GroupedDataset:
@@ -233,19 +241,10 @@ def partition_by_key(ds: PairedDataset, key, group_size: int) -> GroupedDataset:
         )
         group_size = ds.n_pairs
     order = np.argsort(key, kind="stable")
-    chunks = [
-        order[i : i + group_size] for i in range(0, ds.n_pairs, group_size)
-    ]
-    groups = tuple(
-        Group(
-            ds.xs[c],
-            ds.ys[c],
-            tuple(ds.input_densities[i] for i in c),
-            tuple(ds.output_densities[i] for i in c),
-        )
-        for c in chunks
-    )
-    return GroupedDataset(groups, ds.input_dim, ds.output_dim)
+    chunks = [order[i : i + group_size] for i in range(0, ds.n_pairs, group_size)]
+    # members keep key order, not row order: it fixes the order of each group's sums
+    members = [(c, c) for c in chunks]
+    return _grouped(ds.xs, ds.ys, ds.input_densities, ds.output_densities, members)
 
 
 def cross_pair_expansion(ds: GroupedDataset) -> tuple:

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dataset import GroupedDataset, cross_pair_expansion
+from .baselines import ALL_PAIRS, imputation_fit
+from .dataset import GroupedDataset
 from .densities import GAUSSIAN, DensityParams
 from .models import AFFINE_1D, AFFINE_KD, ParametricModel
 from .objective import (
@@ -34,12 +35,14 @@ INTERVAL_LINE = "interval-line"
 
 OBJECTIVE_CHOICES = (GENERAL, GAUSS_LINE, GAUSS_PLANE, INTERVAL_LINE)
 
+# a descent stops once the simplex diameter or its spread of values is this small
+_X_TOL = 1e-8
+_F_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 2000
-    x_tol: float = 1e-8
-    f_tol: float = 1e-10
     initial_simplex_scale: float = 0.1
     restarts: int = 0
     seed: int = 0
@@ -47,8 +50,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.x_tol > 0 and self.f_tol > 0):
-            raise ValueError("tolerances must be > 0")
         if not self.initial_simplex_scale > 0:
             raise ValueError("initial_simplex_scale must be > 0")
         if self.restarts < 0:
@@ -81,7 +82,7 @@ def _simplex_descent(f, x0: np.ndarray, cfg: OptimizerConfig):
         fvals = fvals[order]
         diameter = np.max(np.abs(simplex[1:] - simplex[0]))
         spread = fvals[-1] - fvals[0] if math.isfinite(fvals[0]) else math.inf
-        if diameter <= cfg.x_tol or spread <= cfg.f_tol:
+        if diameter <= _X_TOL or spread <= _F_TOL:
             # a simplex collapsed on a non-finite plateau has found nothing
             converged = math.isfinite(fvals[0])
             break
@@ -185,14 +186,6 @@ def _build_objective(
     )
 
 
-def _warm_start(ds: GroupedDataset, model: ParametricModel, opt_cfg: OptimizerConfig) -> np.ndarray:
-    """Ordinary least squares on the all-combinations expansion of the groups."""
-    from .baselines import ols_general
-
-    xs, ys = cross_pair_expansion(ds)
-    return ols_general(xs, ys, model, opt_cfg).alpha_hat
-
-
 def fit(
     ds: GroupedDataset,
     model: ParametricModel,
@@ -207,10 +200,8 @@ def fit(
     never exceeds the warm start's objective value.
     """
     objective = _build_objective(ds, model, objective_choice, int_cfg)
-    warm = _warm_start(ds, model, opt_cfg)
-    result = nelder_mead(objective, warm, opt_cfg)
-    result.warm_start = warm
-    return result
+    warm = imputation_fit(ds, model, ALL_PAIRS, opt_cfg).alpha_hat
+    return nelder_mead(objective, warm, opt_cfg)
 
 
 def fit_extended(
@@ -245,7 +236,7 @@ def fit_extended(
     fixed_all = np.where(free, np.nan, lo_all)
 
     p = model.param_dim
-    warm = _warm_start(ds, model, opt_cfg)
+    warm = imputation_fit(ds, model, ALL_PAIRS, opt_cfg).alpha_hat
     z0 = np.concatenate([warm, np.log(start_all[free])])
 
     def unpack(z):

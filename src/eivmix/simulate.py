@@ -38,7 +38,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .dataset import Group, GroupedDataset
+from .dataset import build_grouped
 from .densities import ErrorDensity, density_sample
 from .metrics import ResidualSummary, residual_summary
 from .models import ParametricModel, model_eval_batch
@@ -58,7 +58,6 @@ class ScenarioSpec:
     """Complete recipe for one synthetic dataset."""
 
     name: str
-    input_dim: int
     L: int
     R: Union[int, Tuple[int, ...]]
     alpha: Tuple[float, ...]
@@ -80,12 +79,14 @@ class ScenarioSpec:
             if any(s < 1 for s in sizes) or sum(sizes) != self.L:
                 raise ValueError("group sizes must be >= 1 and sum to L")
             object.__setattr__(self, "R", sizes)
-        if len(self.sigma_eta) != self.input_dim:
-            raise ValueError("one sigma_eta per input coordinate required")
         if any(s <= 0 for s in self.sigma_eta) or self.sigma_eps <= 0:
             raise ValueError("noise scales must be > 0")
         if not 0.0 <= self.label_switch_fraction < 1.0:
             raise ValueError("label_switch_fraction must be in [0, 1)")
+
+    @property
+    def input_dim(self) -> int:
+        return len(self.sigma_eta)
 
     @property
     def n_groups(self) -> int:
@@ -93,31 +94,25 @@ class ScenarioSpec:
 
 
 _PRESETS = {
-    "A": dict(input_dim=1, L=300, alpha=(0.0, 0.5), sigma_eta=(0.2,), sigma_eps=0.2),
-    "B": dict(input_dim=1, L=300, alpha=(0.0, 0.5), sigma_eta=(0.6,), sigma_eps=0.6),
-    "C": dict(input_dim=1, L=36, alpha=(0.0, 0.5), sigma_eta=(0.2,), sigma_eps=0.2),
+    "A": dict(L=300, alpha=(0.0, 0.5), sigma_eta=(0.2,), sigma_eps=0.2),
+    "B": dict(L=300, alpha=(0.0, 0.5), sigma_eta=(0.6,), sigma_eps=0.6),
+    "C": dict(L=36, alpha=(0.0, 0.5), sigma_eta=(0.2,), sigma_eps=0.2),
     "D": dict(
-        input_dim=1,
         L=300,
         alpha=(0.0, 0.5),
         sigma_eta=(0.2,),
         sigma_eps=0.2,
         noise_kind=UNIFORM_NOISE,
     ),
-    "plane": dict(
-        input_dim=2, L=1600, alpha=(0.0, 0.2, 0.4), sigma_eta=(0.2, 0.2), sigma_eps=0.2
-    ),
+    "plane": dict(L=1600, alpha=(0.0, 0.2, 0.4), sigma_eta=(0.2, 0.2), sigma_eps=0.2),
     "plane-switched": dict(
-        input_dim=2,
         L=1600,
         alpha=(0.0, 0.2, 0.4),
         sigma_eta=(0.2, 0.2),
         sigma_eps=0.2,
         label_switch_fraction=0.3,
     ),
-    "cubic": dict(
-        input_dim=1, L=300, alpha=(0.0, 0.5, 0.0, -0.1), sigma_eta=(0.2,), sigma_eps=0.1
-    ),
+    "cubic": dict(L=300, alpha=(0.0, 0.5, 0.0, -0.1), sigma_eta=(0.2,), sigma_eps=0.1),
 }
 
 
@@ -141,41 +136,31 @@ def scenario_model(spec: ScenarioSpec) -> ParametricModel:
     return ParametricModel.affine_kd(spec.input_dim)
 
 
-def _chunk_labels(order: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
-    """Group labels for sorted scalar inputs."""
-    L = spec.L
-    labels = np.empty(L, dtype=int)
-    if not isinstance(spec.R, int):
-        start = 0
-        for g, size in enumerate(spec.R):
-            labels[order[start : start + size]] = g
-            start += size
-        return labels
-    if spec.name == "cubic" and spec.R < L:
-        lost = L - spec.R + 2
+def _chunk_sizes(spec: ScenarioSpec) -> list:
+    """Sizes of the consecutive chunks of sorted scalar inputs, one per group."""
+    L, R = spec.L, spec.R
+    if not isinstance(R, int):
+        return list(R)
+    if spec.name == "cubic" and R < L:
+        lost = L - R + 2
         s1 = lost // 2
         s2 = lost - s1
         start1 = max(L // 6 - s1 // 2, 0)
         start2 = min(5 * L // 6 - s2 // 2, L - s2)
         if start1 + s1 > start2:
             raise ValueError("cubic unpaired areas overlap; R too small for L")
-        labels[order] = -1
-        next_label = 0
-        i = 0
-        while i < L:
-            if i == start1:
-                labels[order[i : i + s1]] = next_label
-                i += s1
-            elif i == start2:
-                labels[order[i : i + s2]] = next_label
-                i += s2
-            else:
-                labels[order[i]] = next_label
-                i += 1
-            next_label += 1
-        return labels
-    for g, chunk in enumerate(np.array_split(order, spec.R)):
-        labels[chunk] = g
+        return [1] * start1 + [s1] + [1] * (start2 - start1 - s1) + [s2] + [1] * (L - start2 - s2)
+    # np.array_split's sizes
+    return [L // R + (g < L % R) for g in range(R)]
+
+
+def _chunk_labels(order: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
+    """Group labels for sorted scalar inputs."""
+    labels = np.empty(spec.L, dtype=int)
+    start = 0
+    for g, size in enumerate(_chunk_sizes(spec)):
+        labels[order[start : start + size]] = g
+        start += size
     return labels
 
 
@@ -264,18 +249,9 @@ def generate_scenario(spec: ScenarioSpec, rng: np.random.Generator, return_laten
     if spec.label_switch_fraction > 0.0:
         labels = _switch_labels(labels, spec, rng)
 
-    groups = []
-    for g in range(labels.max() + 1):
-        members = np.flatnonzero(labels == g)
-        groups.append(
-            Group(
-                x_obs[members],
-                y_obs[members],
-                (in_density,) * members.size,
-                (out_density,) * members.size,
-            )
-        )
-    ds = GroupedDataset(tuple(groups), k, 1)
+    ds = build_grouped(
+        x_obs, y_obs, labels, labels, (in_density,) * spec.L, (out_density,) * spec.L
+    )
     if return_latent:
         latent = ScenarioLatent(x_true, y_true, eta, eps, labels)
         return ds, latent

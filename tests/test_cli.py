@@ -86,10 +86,16 @@ def test_fit_exit_codes(tmp_path, line_csv, capsys):
     capsys.readouterr()
 
 
-def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_usage_errors_exit_two(capsys, tmp_path):
+    out = str(tmp_path / "surface.csv")
+    for argv in (
+        ["frobnicate"],
+        # surface never runs the optimizer, so it takes no optimizer flags
+        ["surface", "--scenario", "A", "--out", out, "--max-iters", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -80,6 +80,37 @@ def test_build_grouped_sorts_and_validates():
         build_grouped(xs, ys, ["a", "a"], ["a", "a", "a"], (G1,) * 3, (G1,) * 3)
 
 
+class _CountingLabel:
+    """A group label that counts its equality comparisons."""
+
+    eq_calls = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __eq__(self, other):
+        _CountingLabel.eq_calls += 1
+        return self.v == other.v
+
+    def __lt__(self, other):
+        return self.v < other.v
+
+
+def test_build_grouped_linear_in_labels():
+    n = 400
+    labels = [_CountingLabel(i) for i in range(n)]
+    xs = np.arange(float(n))
+    _CountingLabel.eq_calls = 0
+    ds = build_grouped(xs, xs + 0.5, labels, labels, (G1,) * n, (G1,) * n)
+    assert ds.n_groups == n
+    np.testing.assert_array_equal(ds.groups[7].outputs, [[7.5]])
+    # one scan per side and a sort of already ordered labels, not a scan per group
+    assert _CountingLabel.eq_calls <= 2 * n
+
+
 def test_partition_by_key_chunks():
     ds = paired(6)
     key = np.array([3.0, 1.0, 2.0, 5.0, 4.0, 6.0])
