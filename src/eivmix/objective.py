@@ -54,6 +54,10 @@ GAUSS_LOG_NORM_PER_GROUP = 0.5 * math.log(2.0 * math.pi)
 
 _MAX_GRID_POINTS = 1 << 22
 
+#: Doubles per (B, C, nodes, d) temporary in _mixture_sum; keeps one block of
+#: the mixture in cache instead of materializing it over every node at once.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -80,8 +84,9 @@ class IntegrationConfig:
         g = self.grid_points_per_dim
         if g is not None and (g < 11 or g % 2 == 0):
             raise ValueError("grid_points_per_dim must be >= 11 and odd")
-        if not self.grid_halfwidth_sigmas > 0:
-            raise ValueError("grid_halfwidth_sigmas must be > 0")
+        h = self.grid_halfwidth_sigmas
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError("grid_halfwidth_sigmas must be finite and > 0")
 
     def points_for_dim(self, input_dim: int) -> int:
         if self.grid_points_per_dim is not None:
@@ -143,13 +148,30 @@ def _mixture_sum(centers, scales, parts, pts) -> np.ndarray:
     and pts has shape (B, n, d); returns (B, n). All components of one kind
     are evaluated together. Point-mass components are never listed: they
     enter through the sifting nodes, not as a numeric density.
+
+    The node axis is processed in blocks of about _BLOCK doubles per
+    (B, C, nb, d) temporary. A block is never one node wide unless n is 1:
+    numpy can sum a lone node's components pairwise rather than in order,
+    so this keeps every node's sum bit-identical to the unblocked one.
     """
-    total = None
-    for kind, cols in parts:
-        z = centers[:, cols, None, :] - pts[:, None, :, :]  # (B, Cc, n, d)
-        term = _pdf_product(z, scales[:, cols, None, :], kind).sum(axis=1)
-        total = term if total is None else total + term
-    return total
+    B, C, d = centers.shape
+    n = pts.shape[1]
+    nb = max(2, _BLOCK // (B * C * d))
+    out = np.empty((B, n))
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + nb)
+        if n - hi == 1:
+            hi = n
+        block = pts[:, None, lo:hi, :]
+        total = None
+        for kind, cols in parts:
+            z = centers[:, cols, None, :] - block  # (B, Cc, nb, d)
+            term = _pdf_product(z, scales[:, cols, None, :], kind).sum(axis=1)
+            total = term if total is None else total + term
+        out[:, lo:hi] = total
+        lo = hi
+    return out
 
 
 def _buckets(ds: GroupedDataset) -> list:
@@ -225,9 +247,15 @@ class CompiledObjective:
     pure function of (dataset, alpha, config): Monte Carlo draws are fixed
     at compile time from (config seed, group index).
 
+    The nodes and their weights, including the input mixture f_in at every
+    grid node, do not depend on alpha, so compiling computes them once; an
+    evaluation costs only the model at the nodes and the output mixture.
+
     ``evaluate``'s ``input_scales`` / ``output_scales`` overrides replace
     the scales of every Gaussian density (one finite scale > 0 per
-    coordinate, globally); other density kinds are unaffected.
+    coordinate, globally); other density kinds are unaffected. An
+    ``input_scales`` override changes f_in, so it rebuilds the nodes on
+    every call (which is why ``fit_extended`` costs more per evaluation).
     """
 
     def __init__(self, ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig):
@@ -263,6 +291,9 @@ class CompiledObjective:
         self._wprod = np.prod(wbase[self._grid_index], axis=1)  # (G,)
 
         self.buckets = [_Bucket(rows, groups, cfg) for rows, groups in _buckets(ds)]
+        # the nodes and input-mixture weights do not depend on alpha
+        for b in self.buckets:
+            b.nodes = self._nodes(b, b.xscale)
 
     # -- scale overrides ---------------------------------------------------
 
@@ -328,10 +359,13 @@ class CompiledObjective:
         output_scales = self._checked_override(output_scales, self.ds.output_dim, "output")
         per_group = np.empty(self.n_groups)
         for b in self.buckets:
-            xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
+            nodes = b.nodes
+            if input_scales is not None:
+                xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
+                nodes = self._nodes(b, xscale)
             yscale = self._effective_scales(b.yscale, b.out_kinds, output_scales)
             lik = 0.0
-            for pts, w in self._nodes(b, xscale):
+            for pts, w in nodes:
                 B, n, k = pts.shape
                 vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k))
                 fy = _mixture_sum(b.y, yscale, b.out_parts, vals.reshape(B, n, -1))

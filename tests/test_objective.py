@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from eivmix import (
     nll_gaussian_line,
     nll_general,
 )
+from eivmix import objective
+from eivmix.densities import GAUSSIAN
 from eivmix.objective import GAUSS_LOG_NORM_PER_GROUP, CompiledObjective, shared_gaussian_scales
-from eivmix import PairedDataset
+from eivmix import PairedDataset, generate_scenario, scenario_spec
+from eivmix.simulate import scenario_model
 
 LINE = ParametricModel.affine_1d()
 G1 = ErrorDensity.gaussian(1.0)
@@ -79,13 +83,14 @@ def test_point_mass_output_rejected():
         nll_general(ds, LINE, IntegrationConfig(), [0.0, 1.0])
 
 
+def mixed_point_mass_group():
+    pm = ErrorDensity.point_mass(1)
+    return Group(np.array([[0.0], [1.0]]), np.array([[0.5]]), (G1, pm), (G1,))
+
+
 def test_mixed_point_mass_and_gaussian_inputs():
     # half the mixture is a Dirac: value = -log( (f_cont + f_sift) / 2 )
-    pm = ErrorDensity.point_mass(1)
-    x = np.array([[0.0], [1.0]])
-    y = np.array([[0.5]])
-    g = Group(x, y, (G1, pm), (G1,))
-    ds = GroupedDataset((g,), 1, 1)
+    ds = GroupedDataset((mixed_point_mass_group(),), 1, 1)
     got = nll_general(ds, LINE, FINE, [0.0, 1.0])
     f_cont = math.exp(-(0.5**2) / 4.0) / (2.0 * math.sqrt(math.pi))  # N(0.5;0,2)
     f_sift = math.exp(-0.125) / math.sqrt(2.0 * math.pi)  # phi(0.5-1)
@@ -375,6 +380,103 @@ def test_extended_dimension_check():
         nll_general(ds, LINE, FINE, [0.0, 1.0], input_scales=[1.0, 1.0], output_scales=[1.0])
 
 
+# -- compiled nodes and blocking ---------------------------------------------------
+
+
+def plane_r4():
+    spec = scenario_spec("plane", R=4)
+    return generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec)
+
+
+def test_cached_nodes_match_rebuilt_nodes():
+    # the nodes cached at compile time are the ones an input-scale override
+    # rebuilds on every call; an override must neither see nor change them
+    rng = np.random.default_rng(17)
+    d = ErrorDensity.gaussian(0.4)
+    gaussian = GroupedDataset(
+        tuple(
+            Group(rng.uniform(-1, 1, (h, 1)), rng.uniform(-1, 1, (2, 1)), (d,) * h, (G1,) * 2)
+            for h in (1, 3, 3)
+        ),
+        1,
+        1,
+    )
+    mc = IntegrationConfig(method=MONTE_CARLO, mc_samples=500, seed=3)
+    cases = [
+        (gaussian, IntegrationConfig(), 0.4),
+        (gaussian, mc, 0.4),
+        (GroupedDataset((mixed_point_mass_group(),), 1, 1), FINE, 1.0),
+    ]
+    other = 0.7
+    alpha = [0.1, 0.8]
+    for ds, cfg, scale in cases:
+        compiled = CompiledObjective(ds, LINE, cfg)
+        plain = compiled.evaluate(alpha).per_group_log
+        rebuilt = compiled.evaluate(alpha, input_scales=[scale]).per_group_log
+        np.testing.assert_array_equal(plain, rebuilt)
+        override = compiled.evaluate(alpha, input_scales=[other]).per_group_log
+        assert not np.array_equal(override, plain)
+        np.testing.assert_array_equal(compiled.evaluate(alpha).per_group_log, plain)
+        # the override equals a dataset rebuilt with that scale
+        g_other = ErrorDensity.gaussian(other)
+        rescaled = GroupedDataset(
+            tuple(
+                Group(
+                    g.inputs,
+                    g.outputs,
+                    tuple(g_other if di.kind == GAUSSIAN else di for di in g.input_densities),
+                    g.output_densities,
+                )
+                for g in ds.groups
+            ),
+            1,
+            1,
+        )
+        fresh = CompiledObjective(rescaled, LINE, cfg).evaluate(alpha).per_group_log
+        np.testing.assert_array_equal(override, fresh)
+
+
+@pytest.mark.parametrize("block", [1, 7 * 1600])
+def test_node_blocks_are_exact(monkeypatch, block):
+    # blocks that do not divide the node count give bit-identical sums: a
+    # block of 1 gives two-node blocks and, on the odd node counts here, a
+    # one-node remainder; 7 * 1600 gives 7-node blocks on the plane output
+    # mixture (B * L = 4 * 400)
+    plane, plane_model = plane_r4()
+    cases = [
+        (plane, plane_model, IntegrationConfig(), [0.0, 0.2, 0.4]),
+        (GroupedDataset((mixed_kind_group(),), 1, 1), LINE, FINE, [0.1, 0.7]),
+    ]
+    # one group with many comparable components at every node, where the
+    # order of the component sum shows in the last bits
+    rng = np.random.default_rng(4)
+    centers = rng.normal(size=(1, 50, 2))
+    scales = np.full_like(centers, 2.0)
+    pts = rng.normal(size=(1, 9, 2))
+    parts = [(GAUSSIAN, list(range(50)))]
+    want_sum = objective._mixture_sum(centers, scales, parts, pts)
+    wants = [CompiledObjective(*case[:3]).evaluate(case[3]).per_group_log for case in cases]
+    monkeypatch.setattr(objective, "_BLOCK", block)
+    np.testing.assert_array_equal(objective._mixture_sum(centers, scales, parts, pts), want_sum)
+    for (ds, model, cfg, alpha), want in zip(cases, wants):
+        got = CompiledObjective(ds, model, cfg).evaluate(alpha).per_group_log
+        np.testing.assert_array_equal(got, want)
+
+
+def test_evaluate_memory_is_bounded():
+    # one evaluation on four 400-point 2-d groups (61^2 nodes each) used to
+    # allocate about 240 MB; node blocks keep it near 3 MB
+    ds, model = plane_r4()
+    compiled = CompiledObjective(ds, model, IntegrationConfig())
+    tracemalloc.start()
+    try:
+        compiled.evaluate([0.0, 0.2, 0.4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 # -- infrastructure ---------------------------------------------------------------
 
 
@@ -434,6 +536,8 @@ def test_integration_config_validation():
         IntegrationConfig(grid_points_per_dim=100)  # even
     with pytest.raises(ValueError):
         IntegrationConfig(grid_halfwidth_sigmas=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        IntegrationConfig(grid_halfwidth_sigmas=math.inf)
     assert IntegrationConfig().points_for_dim(1) == 201
     assert IntegrationConfig().points_for_dim(2) == 61
     assert IntegrationConfig(grid_points_per_dim=301).points_for_dim(2) == 301
