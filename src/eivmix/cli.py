@@ -142,8 +142,8 @@ def _add_common_numeric(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="quadrature points per input dimension (odd, default 201 or 61); "
-        "with 4 or more inputs the default 61^k grid exceeds the grid budget, "
-        "so pass a smaller value (at most 45 for 4 inputs) or --method monte-carlo",
+        "every group keeps its own grid of points^k nodes, and the grid budget "
+        "covers the whole dataset, so with 4 or more inputs use --method monte-carlo",
     )
 
 

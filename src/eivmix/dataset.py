@@ -5,18 +5,26 @@ observed inputs and L_r observed outputs that are known to belong together,
 but with no pairing between individual inputs and outputs inside the group.
 Fully paired data is the special case of L singleton groups; a single group
 holding everything is the completely unpaired case.
+
+``GroupedDataset`` stores all groups' inputs and outputs as flat arrays,
+group after group, with a density kind code and a scale row per point and,
+per side, R + 1 offsets that delimit the groups (like ``indptr`` in a CSR
+sparse matrix). Objectives and baselines index these arrays directly; its
+``groups`` are read-only ``Group`` views, and hand-built ``Group`` objects
+are concatenated into the same arrays.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .densities import ErrorDensity
+from .densities import KINDS, POINT_MASS, ErrorDensity
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -32,16 +40,37 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def _check_densities(densities, n: int, dim: int, name: str) -> tuple:
-    densities = tuple(densities)
-    if len(densities) != n:
-        raise ValueError(f"{name}: {len(densities)} densities for {n} points")
-    for d in densities:
+def _density_rows(densities, shape, name: str) -> tuple:
+    """Kind codes (n,) and scale rows (n, dim), 0 for point masses, of n
+    per-point densities; each distinct density object is checked once."""
+    n, dim = shape
+    distinct = {}
+    index = [distinct.setdefault(d, len(distinct)) for d in densities]
+    if len(index) != n:
+        raise ValueError(f"{name}: {len(index)} densities for {n} points")
+    for d in distinct:
         if not isinstance(d, ErrorDensity):
             raise TypeError(f"{name}: expected ErrorDensity, got {type(d).__name__}")
         if d.dim != dim:
             raise ValueError(f"{name}: density dimension {d.dim} != {dim}")
-    return densities
+    codes = np.array([KINDS.index(d.kind) for d in distinct], dtype=np.int8)
+    scales = [d.scale if d.kind != POINT_MASS else np.zeros(dim) for d in distinct]
+    scales = np.array(scales).reshape(-1, dim)
+    return codes[index], scales[index]
+
+
+def _checked_side(points, densities, name: str) -> tuple:
+    """Points as a read-only (n, dim) matrix and their n densities as a tuple."""
+    points, densities = _as_matrix(points, name), tuple(densities)
+    _density_rows(densities, points.shape, name)
+    return points, densities
+
+
+def _set_fields(obj, values):
+    """obj, a frozen dataclass, with its fields set to values in order."""
+    for f, v in zip(fields(obj), values):
+        object.__setattr__(obj, f.name, v)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,22 +83,11 @@ class Group:
     output_densities: tuple
 
     def __post_init__(self):
-        inputs = _as_matrix(self.inputs, "inputs")
-        outputs = _as_matrix(self.outputs, "outputs")
+        inputs, din = _checked_side(self.inputs, self.input_densities, "inputs")
+        outputs, dout = _checked_side(self.outputs, self.output_densities, "outputs")
         if inputs.shape[0] < 1 or outputs.shape[0] < 1:
             raise ValueError("a group needs at least one input and one output")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(
-            self,
-            "input_densities",
-            _check_densities(self.input_densities, inputs.shape[0], inputs.shape[1], "inputs"),
-        )
-        object.__setattr__(
-            self,
-            "output_densities",
-            _check_densities(self.output_densities, outputs.shape[0], outputs.shape[1], "outputs"),
-        )
+        _set_fields(self, (inputs, outputs, din, dout))
 
     @property
     def n_inputs(self) -> int:
@@ -80,26 +98,74 @@ class Group:
         return self.outputs.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GroupedDataset:
-    groups: tuple
+    """R groups as flat arrays with group offsets (see the module docstring);
+    ``GroupedDataset(groups, input_dim, output_dim)`` concatenates ``Group``s."""
+
+    inputs: np.ndarray  # (N, k)
+    outputs: np.ndarray  # (M, m)
+    input_kinds: np.ndarray  # (N,) int8
+    input_scales: np.ndarray  # (N, k)
+    output_kinds: np.ndarray  # (M,) int8
+    output_scales: np.ndarray  # (M, m)
+    input_offsets: np.ndarray  # (R + 1,)
+    output_offsets: np.ndarray  # (R + 1,)
     input_dim: int
     output_dim: int
+    n_groups: int
 
-    def __post_init__(self):
-        groups = tuple(self.groups)
-        if not groups:
+    def __init__(self, groups, input_dim: int, output_dim: int):
+        groups = tuple(groups)
+        if any(g.inputs.shape[1] != input_dim or g.outputs.shape[1] != output_dim for g in groups):
+            raise ValueError(f"group dimensions differ from ({input_dim}, {output_dim})")
+        self._store(
+            np.concatenate([g.inputs for g in groups] or [np.empty((0, input_dim))]),
+            np.concatenate([g.outputs for g in groups] or [np.empty((0, output_dim))]),
+            [d for g in groups for d in g.input_densities],
+            [d for g in groups for d in g.output_densities],
+            slice(None), np.cumsum([0] + [g.n_inputs for g in groups]),
+            slice(None), np.cumsum([0] + [g.n_outputs for g in groups]),
+        )
+
+    def _store(self, xs, ys, input_densities, output_densities,
+               in_rows, in_offsets, out_rows, out_offsets) -> "GroupedDataset":
+        """Check, freeze and return the layout in which group r takes the rows
+        in_rows[in_offsets[r]:in_offsets[r + 1]] of xs, and the like of ys."""
+        if len(in_offsets) < 2:
             raise ValueError("dataset needs at least one group")
-        for g in groups:
-            if g.inputs.shape[1] != self.input_dim:
-                raise ValueError("group input dimension mismatch")
-            if g.outputs.shape[1] != self.output_dim:
-                raise ValueError("group output dimension mismatch")
-        object.__setattr__(self, "groups", groups)
+        xs, ys = _as_matrix(xs, "inputs"), _as_matrix(ys, "outputs")
+        in_kinds, in_scales = _density_rows(input_densities, xs.shape, "inputs")
+        out_kinds, out_scales = _density_rows(output_densities, ys.shape, "outputs")
+        arrays = (
+            xs[in_rows], ys[out_rows], in_kinds[in_rows], in_scales[in_rows],
+            out_kinds[out_rows], out_scales[out_rows],
+            np.asarray(in_offsets, dtype=np.intp), np.asarray(out_offsets, dtype=np.intp),
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return _set_fields(self, (*arrays, xs.shape[1], ys.shape[1], len(in_offsets) - 1))
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
+    @cached_property
+    def groups(self) -> tuple:
+        """Read-only ``Group`` views of the flat arrays, in group order."""
+        din = _densities(self.input_kinds, self.input_scales)
+        dout = _densities(self.output_kinds, self.output_scales)
+        io, oo = self.input_offsets.tolist(), self.output_offsets.tolist()
+        views = []
+        for a, b, c, d in zip(io[:-1], io[1:], oo[:-1], oo[1:]):
+            parts = (self.inputs[a:b], self.outputs[c:d], tuple(din[a:b]), tuple(dout[c:d]))
+            # a view skips Group's checks: the arrays are checked already
+            views.append(_set_fields(object.__new__(Group), parts))
+        return tuple(views)
+
+
+def _densities(codes, scales) -> list:
+    dim = scales.shape[1]
+    return [
+        ErrorDensity.point_mass(dim) if KINDS[c] == POINT_MASS else ErrorDensity(KINDS[c], s, dim)
+        for c, s in zip(codes.tolist(), scales)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,24 +178,13 @@ class PairedDataset:
     output_densities: tuple
 
     def __post_init__(self):
-        xs = _as_matrix(self.xs, "xs")
-        ys = _as_matrix(self.ys, "ys")
+        xs, din = _checked_side(self.xs, self.input_densities, "xs")
+        ys, dout = _checked_side(self.ys, self.output_densities, "ys")
         if xs.shape[0] != ys.shape[0]:
             raise ValueError("xs and ys must hold the same number of points")
         if xs.shape[0] < 1:
             raise ValueError("dataset needs at least one pair")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(
-            self,
-            "input_densities",
-            _check_densities(self.input_densities, xs.shape[0], xs.shape[1], "xs"),
-        )
-        object.__setattr__(
-            self,
-            "output_densities",
-            _check_densities(self.output_densities, ys.shape[0], ys.shape[1], "ys"),
-        )
+        _set_fields(self, (xs, ys, din, dout))
 
     @staticmethod
     def from_arrays(xs, ys, input_density: ErrorDensity, output_density: ErrorDensity) -> "PairedDataset":
@@ -151,28 +206,10 @@ class PairedDataset:
         return self.ys.shape[1]
 
 
-def _grouped(xs, ys, input_densities, output_densities, members) -> GroupedDataset:
-    """One group per (input rows, output rows) pair of ``members``, in order."""
-    groups = tuple(
-        Group(
-            xs[ii],
-            ys[oo],
-            [input_densities[i] for i in ii],
-            [output_densities[i] for i in oo],
-        )
-        for ii, oo in members
-    )
-    return GroupedDataset(groups, xs.shape[1], ys.shape[1])
-
-
-def _label_list(labels) -> list:
-    # Python scalars hash several times faster than numpy ones
-    return labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
-
-
-def _rows_by_label(labels: list) -> dict:
+def _rows_by_label(labels) -> dict:
     rows = defaultdict(list)
-    for i, v in enumerate(labels):
+    # Python scalars hash several times faster than numpy ones
+    for i, v in enumerate(labels.tolist() if isinstance(labels, np.ndarray) else labels):
         rows[v].append(i)
     return rows
 
@@ -190,17 +227,9 @@ def build_grouped(
     The label alphabets of the two sides must coincide: every group needs at
     least one input and one output. Groups are ordered by sorted label.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim == 1:
-        outputs = outputs[:, None]
-    input_labels = _label_list(input_labels)
-    output_labels = _label_list(output_labels)
-    if len(input_labels) != inputs.shape[0]:
+    if len(input_labels) != len(inputs):
         raise ValueError("one label per input required")
-    if len(output_labels) != outputs.shape[0]:
+    if len(output_labels) != len(outputs):
         raise ValueError("one label per output required")
     in_rows = _rows_by_label(input_labels)
     out_rows = _rows_by_label(output_labels)
@@ -212,14 +241,18 @@ def build_grouped(
             f"(inputs only: {only_in}, outputs only: {only_out})"
         )
     order = sorted(in_rows, key=lambda v: (str(type(v)), v))
-    members = [(in_rows[v], out_rows[v]) for v in order]
-    return _grouped(inputs, outputs, list(input_densities), list(output_densities), members)
+    return object.__new__(GroupedDataset)._store(
+        inputs, outputs, input_densities, output_densities,
+        np.array([i for v in order for i in in_rows[v]], dtype=np.intp),
+        np.cumsum([0] + [len(in_rows[v]) for v in order]),
+        np.array([i for v in order for i in out_rows[v]], dtype=np.intp),
+        np.cumsum([0] + [len(out_rows[v]) for v in order]),
+    )
 
 
 def as_grouped(ds: PairedDataset) -> GroupedDataset:
     """View paired data as L singleton groups (pairing kept intact)."""
-    members = [([l], [l]) for l in range(ds.n_pairs)]
-    return _grouped(ds.xs, ds.ys, ds.input_densities, ds.output_densities, members)
+    return partition_by_key(ds, np.arange(ds.n_pairs), 1)
 
 
 def partition_by_key(ds: PairedDataset, key, group_size: int) -> GroupedDataset:
@@ -240,57 +273,32 @@ def partition_by_key(ds: PairedDataset, key, group_size: int) -> GroupedDataset:
             "result is a single completely unpaired group"
         )
         group_size = ds.n_pairs
+    # groups keep key order, not row order: it fixes the order of each group's sums
     order = np.argsort(key, kind="stable")
-    chunks = [order[i : i + group_size] for i in range(0, ds.n_pairs, group_size)]
-    # members keep key order, not row order: it fixes the order of each group's sums
-    members = [(c, c) for c in chunks]
-    return _grouped(ds.xs, ds.ys, ds.input_densities, ds.output_densities, members)
+    offsets = np.append(np.arange(0, ds.n_pairs, group_size), ds.n_pairs)
+    return object.__new__(GroupedDataset)._store(
+        ds.xs, ds.ys, ds.input_densities, ds.output_densities, order, offsets, order, offsets
+    )
 
 
 def cross_pair_expansion(ds: GroupedDataset) -> tuple:
     """All within-group input/output combinations as flat paired arrays.
 
-    Group r contributes H_r * L_r rows; used for warm starts and the
-    all-pairs imputation baseline.
+    Group r contributes H_r * L_r rows, input-major; used for warm starts
+    and the all-pairs imputation baseline.
     """
-    xs, ys = [], []
-    for g in ds.groups:
-        h, l = g.n_inputs, g.n_outputs
-        xs.append(np.repeat(g.inputs, l, axis=0))
-        ys.append(np.tile(g.outputs, (h, 1)))
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
+    H = np.diff(ds.input_offsets)
+    reps = np.repeat(np.diff(ds.output_offsets), H)  # pairs per input row
+    xs = np.repeat(ds.inputs, reps, axis=0)
+    # input row i pairs with its group's outputs, first to last
+    first = np.repeat(ds.output_offsets[:-1], H) - (np.cumsum(reps) - reps)
+    ys = ds.outputs[np.arange(xs.shape[0]) + np.repeat(first, reps)]
+    return xs, ys
 
 
 def group_mean_pairs(ds: GroupedDataset) -> tuple:
     """One pair per group: componentwise means of its inputs and outputs."""
-    xs = np.stack([g.inputs.mean(axis=0) for g in ds.groups])
-    ys = np.stack([g.outputs.mean(axis=0) for g in ds.groups])
-    return xs, ys
+    def means(a, offsets):
+        return np.stack([a[lo:hi].mean(axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])])
 
-
-def group_overlap_diagnostic(ds: GroupedDataset) -> np.ndarray:
-    """Heuristic interleaving score per group, in [0, 1].
-
-    For every input point, checks whether its nearest neighbour among the
-    inputs of OTHER groups is closer than its nearest neighbour within its
-    own group; the score is the per-group fraction of such points. Spatially
-    disjoint groups score 0, heavily interleaved groups score high. This is
-    a data diagnostic only; no formal dissimilarity measure is defined for
-    the grouped likelihood, so treat it as a screening heuristic.
-    """
-    if ds.n_groups == 1:
-        warnings.warn("overlap diagnostic undefined for a single group")
-        return np.zeros(1)
-    points = np.concatenate([g.inputs for g in ds.groups], axis=0)
-    labels = np.concatenate(
-        [np.full(g.n_inputs, r) for r, g in enumerate(ds.groups)]
-    )
-    d2 = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    same = labels[:, None] == labels[None, :]
-    d2_same = np.where(same, d2, np.inf).min(axis=1)
-    d2_other = np.where(same, np.inf, d2).min(axis=1)
-    crossed = d2_other < d2_same
-    return np.array(
-        [crossed[labels == r].mean() for r in range(ds.n_groups)]
-    )
+    return means(ds.inputs, ds.input_offsets), means(ds.outputs, ds.output_offsets)

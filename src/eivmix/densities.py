@@ -18,7 +18,8 @@ GAUSSIAN = "gaussian-diagonal"
 UNIFORM = "uniform-box"
 POINT_MASS = "point-mass"
 
-_KINDS = (GAUSSIAN, UNIFORM, POINT_MASS)
+#: Every density kind; a kind's position here is its code in GroupedDataset.
+KINDS = (GAUSSIAN, UNIFORM, POINT_MASS)
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -37,7 +38,7 @@ class ErrorDensity:
     dim: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown density kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("density dimension must be >= 1")

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import GroupedDataset
-from .densities import GAUSSIAN, POINT_MASS, UNIFORM
+from .densities import GAUSSIAN, KINDS, POINT_MASS, UNIFORM
 from .densities import _SQRT_2PI
 from .models import ParametricModel, model_eval_batch
 
@@ -53,6 +53,8 @@ MONTE_CARLO = "monte-carlo"
 GAUSS_LOG_NORM_PER_GROUP = 0.5 * math.log(2.0 * math.pi)
 
 _MAX_GRID_POINTS = 1 << 22
+#: Grid nodes the compiled objective may cache over all groups together.
+_MAX_DATASET_GRID_POINTS = 1 << 23
 
 #: Doubles per (B, C, nodes, d) temporary in _mixture_sum; keeps one block of
 #: the mixture in cache instead of materializing it over every node at once.
@@ -122,20 +124,21 @@ class ObjectiveValue:
 
 
 def _pdf_product(z: np.ndarray, scale: np.ndarray, kind: str) -> np.ndarray:
-    """Product density over the last axis; z and scale broadcast together."""
+    """Product density over the last axis; z and scale broadcast together.
+    Overwrites z: working in place halves the evaluation loop's page faults."""
     if kind == GAUSSIAN:
-        q = np.sum((z / scale) ** 2, axis=-1)
+        q = np.square(np.divide(z, scale, out=z), out=z).sum(axis=-1)
         norm = np.prod(scale * _SQRT_2PI, axis=-1)
-        return np.exp(-0.5 * q) / norm
+        return np.divide(np.exp(np.multiply(q, -0.5, out=q), out=q), norm, out=q)
     inside = np.all(np.abs(z) <= scale, axis=-1)
     return inside / np.prod(2.0 * scale, axis=-1)
 
 
 def _kind_columns(kinds) -> list:
-    """(kind, component columns) for each Gaussian or uniform kind in kinds."""
+    """(kind, component columns) for each Gaussian or uniform kind code in kinds."""
     parts = []
     for kind in (GAUSSIAN, UNIFORM):
-        cols = [c for c, k_ in enumerate(kinds) if k_ == kind]
+        cols = [c for c, k_ in enumerate(kinds) if k_ == KINDS.index(kind)]
         if cols:
             parts.append((kind, cols))
     return parts
@@ -174,47 +177,45 @@ def _mixture_sum(centers, scales, parts, pts) -> np.ndarray:
     return out
 
 
+def _gather(points, scales, kinds, offsets, rows) -> tuple:
+    """(B, n, dim) points and scales of the n-point groups ``rows``, and their n kind codes."""
+    start = offsets[rows]
+    n = offsets[rows[0] + 1] - start[0]
+    idx = start[:, None] + np.arange(n)
+    return points[idx], scales[idx], kinds[start[0] : start[0] + n]
+
+
 def _buckets(ds: GroupedDataset) -> list:
-    """Groups sharing per-point density kinds on both sides (hence H and L).
-
-    Returns (rows, groups) pairs in first-seen order.
-    """
+    """Groups sharing per-point density kinds on both sides (hence H and L),
+    as (rows, inputs, outputs) in first-seen order; each side is gathered."""
+    in_kinds, out_kinds = ds.input_kinds.tobytes(), ds.output_kinds.tobytes()
+    io, oo = ds.input_offsets.tolist(), ds.output_offsets.tolist()
     keyed = {}
-    for r, g in enumerate(ds.groups):
-        key = (
-            tuple(d.kind for d in g.input_densities),
-            tuple(d.kind for d in g.output_densities),
-        )
+    for r in range(ds.n_groups):
+        key = (in_kinds[io[r] : io[r + 1]], out_kinds[oo[r] : oo[r + 1]])
         keyed.setdefault(key, []).append(r)
-    return [(np.asarray(rows), [ds.groups[r] for r in rows]) for rows in keyed.values()]
+    return [
+        (rows, _gather(ds.inputs, ds.input_scales, ds.input_kinds, ds.input_offsets, rows),
+         _gather(ds.outputs, ds.output_scales, ds.output_kinds, ds.output_offsets, rows))
+        for rows in map(np.asarray, keyed.values())
+    ]
 
 
-def _stack_side(points_list, densities_list):
-    """Stack per-group points and density scales; point masses get scale 0."""
-    pts = np.stack(points_list)
-    scales = np.zeros_like(pts)
-    kinds = tuple(d.kind for d in densities_list[0])
-    for j, ds_row in enumerate(densities_list):
-        for h, d in enumerate(ds_row):
-            if d.kind != POINT_MASS:
-                scales[j, h, :] = d.scale
-    return pts, scales, kinds
+def _group_of(offsets, row) -> int:
+    """The group holding flat row ``row``."""
+    return int(np.searchsorted(offsets, row, side="right")) - 1
 
 
 class _Bucket:
     """One bucket of groups from _buckets, stacked for array math."""
 
-    def __init__(self, rows, groups, cfg: IntegrationConfig):
+    def __init__(self, rows, inputs, outputs, cfg: IntegrationConfig):
         self.idx = rows
         # (B, H, k) and (B, L, m); point-mass columns get scale 0
-        self.x, self.xscale, self.in_kinds = _stack_side(
-            [g.inputs for g in groups], [g.input_densities for g in groups]
-        )
-        self.y, self.yscale, self.out_kinds = _stack_side(
-            [g.outputs for g in groups], [g.output_densities for g in groups]
-        )
-        self.cont_cols = [h for h, k_ in enumerate(self.in_kinds) if k_ != POINT_MASS]
-        self.pm_cols = [h for h, k_ in enumerate(self.in_kinds) if k_ == POINT_MASS]
+        self.x, self.xscale, self.in_kinds = inputs
+        self.y, self.yscale, self.out_kinds = outputs
+        self.cont_cols = [h for h, k_ in enumerate(self.in_kinds) if k_ != KINDS.index(POINT_MASS)]
+        self.pm_cols = [h for h, k_ in enumerate(self.in_kinds) if k_ == KINDS.index(POINT_MASS)]
         self.in_parts = _kind_columns(self.in_kinds)
         self.out_parts = _kind_columns(self.out_kinds)
         if cfg.method == MONTE_CARLO:
@@ -222,7 +223,7 @@ class _Bucket:
             # components, seeded from (config seed, group index)
             B, H, k = self.x.shape
             P = cfg.mc_samples
-            gaussian = np.array([k_ == GAUSSIAN for k_ in self.in_kinds])
+            gaussian = self.in_kinds == KINDS.index(GAUSSIAN)
             self.mc_comp = np.empty((B, P), dtype=np.intp)
             self.mc_basis = np.empty((B, P, k))
             for j, r in enumerate(rows):
@@ -264,23 +265,28 @@ class CompiledObjective:
                 f"model maps R^{model.input_dim} -> R^{model.output_dim}, "
                 f"dataset has input_dim={ds.input_dim}, output_dim={ds.output_dim}"
             )
-        for r, g in enumerate(ds.groups):
-            for d in g.output_densities:
-                if d.kind == POINT_MASS:
-                    raise ValueError(
-                        f"group {r} has a point-mass output density; the output "
-                        "mixture cannot be evaluated (sifting applies to inputs only)"
-                    )
+        pm_rows = np.flatnonzero(ds.output_kinds == KINDS.index(POINT_MASS))
+        if pm_rows.size:
+            raise ValueError(
+                f"group {_group_of(ds.output_offsets, pm_rows[0])} has a point-mass "
+                "output density; the output mixture cannot be evaluated (sifting "
+                "applies to inputs only)"
+            )
         self.ds = ds
         self.model = model
         self.cfg = cfg
         self.n_groups = ds.n_groups
+        self.buckets = [_Bucket(*bucket, cfg) for bucket in _buckets(ds)]
         k = ds.input_dim
         g = cfg.points_for_dim(k)
-        if cfg.method == QUADRATURE and g**k > _MAX_GRID_POINTS:
+        # every group with a continuous input caches a grid of g^k nodes
+        gridded = sum(b.x.shape[0] for b in self.buckets if b.cont_cols)
+        if cfg.method == QUADRATURE and (
+            g**k > _MAX_GRID_POINTS or gridded * g**k > _MAX_DATASET_GRID_POINTS
+        ):
             raise ValueError(
-                f"{g} points per dim in {k} dims exceeds the grid budget; "
-                "reduce grid_points_per_dim or use the monte-carlo method"
+                f"{g} points per dim in {k} dims for {gridded} groups exceeds the "
+                "grid budget; reduce grid_points_per_dim or use the monte-carlo method"
             )
         self._grid_points = g
         # index table for the tensor grid, shape (g^k, k)
@@ -290,7 +296,6 @@ class CompiledObjective:
         wbase[0] = wbase[-1] = 0.5
         self._wprod = np.prod(wbase[self._grid_index], axis=1)  # (G,)
 
-        self.buckets = [_Bucket(rows, groups, cfg) for rows, groups in _buckets(ds)]
         # the nodes and input-mixture weights do not depend on alpha
         for b in self.buckets:
             b.nodes = self._nodes(b, b.xscale)
@@ -313,11 +318,7 @@ class CompiledObjective:
     def _effective_scales(scales, kinds, override):
         if override is None:
             return scales
-        out = scales.copy()
-        gcols = [h for h, k_ in enumerate(kinds) if k_ == GAUSSIAN]
-        if gcols:
-            out[:, gcols, :] = override
-        return out
+        return np.where((kinds == KINDS.index(GAUSSIAN))[:, None], override, scales)
 
     # -- evaluation --------------------------------------------------------
 
@@ -399,21 +400,18 @@ def shared_gaussian_scales(ds: GroupedDataset) -> tuple:
     Raises if any density is not Gaussian or scales differ across points;
     the closed-form Gaussian objectives require this homogeneity.
     """
-    def collect(densities_iter, side):
-        rows = []
-        for d in densities_iter:
-            if d.kind != GAUSSIAN:
-                raise ValueError(
-                    f"{side} densities must all be gaussian-diagonal, found {d.kind}"
-                )
-            rows.append(d.scale)
-        rows = np.stack(rows)
-        if not np.all(rows == rows[0]):
+    def shared(kinds, scales, side):
+        other = kinds[kinds != KINDS.index(GAUSSIAN)]
+        if other.size:
+            raise ValueError(
+                f"{side} densities must all be gaussian-diagonal, found {KINDS[other[0]]}"
+            )
+        if not np.all(scales == scales[0]):
             raise ValueError(f"{side} densities must share one scale vector")
-        return rows[0]
+        return scales[0].copy()
 
-    eta = collect((d for g in ds.groups for d in g.input_densities), "input")
-    eps = collect((d for g in ds.groups for d in g.output_densities), "output")
+    eta = shared(ds.input_kinds, ds.input_scales, "input")
+    eps = shared(ds.output_kinds, ds.output_scales, "output")
     return eta, eps
 
 
@@ -442,11 +440,10 @@ class CompiledGaussianPlane:
         self.sigma_eta = sigma_eta
         self.sigma_eps = float(sigma_eps)
         self.n_groups = ds.n_groups
-        self.buckets = []
-        for rows, groups in _buckets(ds):
-            x = np.stack([g.inputs for g in groups])  # (B, H, k)
-            y = np.stack([g.outputs[:, 0] for g in groups])  # (B, L)
-            self.buckets.append((rows, x, y, math.log(x.shape[1] * y.shape[1])))
+        self.buckets = [
+            (rows, x, y[:, :, 0], math.log(x.shape[1] * y.shape[1]))
+            for rows, (x, _, _), (y, _, _) in _buckets(ds)
+        ]
 
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -505,21 +502,18 @@ class CompiledIntervalLine:
     def __init__(self, ds: GroupedDataset):
         if ds.input_dim != 1 or ds.output_dim != 1:
             raise ValueError("interval closed form requires scalar inputs and outputs")
-        for r, g in enumerate(ds.groups):
-            for d in list(g.input_densities) + list(g.output_densities):
-                if d.kind != UNIFORM:
-                    raise ValueError(
-                        f"group {r} has a {d.kind} density; interval closed form "
-                        "requires uniform-box errors on both sides"
-                    )
+        for kinds, offsets in ((ds.input_kinds, ds.input_offsets), (ds.output_kinds, ds.output_offsets)):
+            rows = np.flatnonzero(kinds != KINDS.index(UNIFORM))
+            if rows.size:
+                raise ValueError(
+                    f"group {_group_of(offsets, rows[0])} has a {KINDS[kinds[rows[0]]]} "
+                    "density; interval closed form requires uniform-box errors on both sides"
+                )
         self.n_groups = ds.n_groups
-        self.buckets = []
-        for rows, groups in _buckets(ds):
-            xb = np.stack([g.inputs[:, 0] for g in groups])
-            v = np.array([[d.scale[0] for d in g.input_densities] for g in groups])
-            yb = np.stack([g.outputs[:, 0] for g in groups])
-            w = np.array([[d.scale[0] for d in g.output_densities] for g in groups])
-            self.buckets.append((rows, xb, v, yb, w))
+        self.buckets = [
+            (rows, x[:, :, 0], v[:, :, 0], y[:, :, 0], w[:, :, 0])
+            for rows, (x, v, _), (y, w, _) in _buckets(ds)
+        ]
 
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))

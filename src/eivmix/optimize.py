@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import ALL_PAIRS, imputation_fit
 from .dataset import GroupedDataset
-from .densities import GAUSSIAN, DensityParams
+from .densities import GAUSSIAN, KINDS, DensityParams
 from .models import AFFINE_1D, AFFINE_KD, ParametricModel
 from .objective import (
     CompiledGaussianPlane,
@@ -271,18 +271,14 @@ def _initial_scales(ds: GroupedDataset, lo_all: np.ndarray, hi_all: np.ndarray) 
     """Start scales: per-coordinate mean of the stored Gaussian scales,
     pushed strictly inside the bounds; geometric bound midpoint where the
     dataset has no Gaussian density on that side."""
-    k, m = ds.input_dim, ds.output_dim
-    sums = np.zeros(k + m)
-    counts = np.zeros(k + m)
-    for g in ds.groups:
-        for d in g.input_densities:
-            if d.kind == GAUSSIAN:
-                sums[:k] += d.scale
-                counts[:k] += 1
-        for d in g.output_densities:
-            if d.kind == GAUSSIAN:
-                sums[k:] += d.scale
-                counts[k:] += 1
+    sums, counts = [], []
+    for kinds, scales in ((ds.input_kinds, ds.input_scales), (ds.output_kinds, ds.output_scales)):
+        gauss = scales[kinds == KINDS.index(GAUSSIAN)]
+        # summed in row order: a pairwise sum can move the start, and with it
+        # fit_extended's whole path, by the last bit
+        sums.append(np.cumsum(np.vstack([np.zeros(scales.shape[1]), gauss]), axis=0)[-1])
+        counts.append(np.full(scales.shape[1], float(len(gauss))))
+    sums, counts = np.concatenate(sums), np.concatenate(counts)
     mid = np.sqrt(lo_all * hi_all)
     start = np.where(counts > 0, sums / np.maximum(counts, 1), mid)
     eps = 1e-9 * (hi_all - lo_all)

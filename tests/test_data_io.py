@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from analog import make_worldbank_analog, write_worldbank_analog
+
 from eivmix.data_io import (
     AUTO15,
     IngestResult,
     RunManifest,
     TabularSchema,
     file_sha256,
-    make_worldbank_analog,
     paired_subset,
     read_csv,
     read_fit_report,
@@ -21,7 +22,6 @@ from eivmix.data_io import (
     worldbank_analog_schema,
     write_fit_report,
     write_surface,
-    write_worldbank_analog,
 )
 from eivmix.densities import GAUSSIAN, DensityParams
 from eivmix.models import ParametricModel

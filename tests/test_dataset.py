@@ -10,7 +10,7 @@ from eivmix import (
     build_grouped,
     partition_by_key,
 )
-from eivmix.dataset import cross_pair_expansion, group_mean_pairs, group_overlap_diagnostic
+from eivmix.dataset import cross_pair_expansion, group_mean_pairs
 
 G1 = ErrorDensity.gaussian(1.0)
 
@@ -160,22 +160,6 @@ def test_group_mean_pairs():
     xs, ys = group_mean_pairs(ds)
     np.testing.assert_allclose(xs, [[2.0]])
     np.testing.assert_allclose(ys, [[15.0]])
-
-
-def test_group_overlap_diagnostic():
-    # two spatially disjoint groups score zero
-    g1 = Group(np.array([[0.0], [0.1]]), np.array([[0.0], [0.0]]), (G1,) * 2, (G1,) * 2)
-    g2 = Group(np.array([[5.0], [5.1]]), np.array([[0.0], [0.0]]), (G1,) * 2, (G1,) * 2)
-    ds = GroupedDataset((g1, g2), 1, 1)
-    np.testing.assert_allclose(group_overlap_diagnostic(ds), [0.0, 0.0])
-    # interleaved groups score high
-    g3 = Group(np.array([[0.0], [1.0]]), np.array([[0.0], [0.0]]), (G1,) * 2, (G1,) * 2)
-    g4 = Group(np.array([[0.4], [1.1]]), np.array([[0.0], [0.0]]), (G1,) * 2, (G1,) * 2)
-    scores = group_overlap_diagnostic(GroupedDataset((g3, g4), 1, 1))
-    assert np.all(scores > 0.0)
-    with pytest.warns(UserWarning, match="single group"):
-        out = group_overlap_diagnostic(GroupedDataset((g1,), 1, 1))
-    np.testing.assert_array_equal(out, [0.0])
 
 
 def test_arrays_read_only():

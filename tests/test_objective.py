@@ -527,6 +527,34 @@ def test_grid_budget_guard():
         CompiledObjective(ds, model, IntegrationConfig(grid_points_per_dim=201))
 
 
+def test_dataset_grid_budget_guard(monkeypatch):
+    # every group's nodes are cached, so the budget covers all groups together
+    d2 = ErrorDensity.gaussian([1.0, 1.0])
+    pm = ErrorDensity.point_mass(2)
+    model = ParametricModel.affine_kd(2)
+    cfg = IntegrationConfig(grid_points_per_dim=11)
+
+    def plane(in_densities):
+        return GroupedDataset(
+            [Group(np.full((1, 2), r), np.zeros((1, 1)), (d,), (G1,))
+             for r, d in enumerate(in_densities)],
+            2, 1,
+        )
+
+    def no_nodes(self, b, xscale):
+        raise AssertionError("nodes built before the budget check")
+
+    monkeypatch.setattr(objective, "_MAX_DATASET_GRID_POINTS", 2 * 11**2)
+    monkeypatch.setattr(CompiledObjective, "_nodes", no_nodes)
+    with pytest.raises(ValueError, match="grid budget"):
+        CompiledObjective(plane([d2, d2, d2]), model, cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(objective, "_MAX_DATASET_GRID_POINTS", 2 * 11**2)
+    # a point-mass group has no grid; Monte Carlo has no grid at all
+    CompiledObjective(plane([d2, pm, d2]), model, cfg)
+    CompiledObjective(plane([d2, d2, d2]), model, IntegrationConfig(method=MONTE_CARLO))
+
+
 def test_integration_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(method="simpson")

@@ -12,7 +12,6 @@ MODULE_ONLY = {
     "eivmix.baselines": ["integrated_deming_penalty"],
     "eivmix.data_io": [
         "RunManifest",
-        "make_worldbank_analog",
         "paired_subset",
         "read_fit_report",
         "read_surface",
@@ -21,12 +20,10 @@ MODULE_ONLY = {
         "worldbank_analog_schema",
         "write_fit_report",
         "write_surface",
-        "write_worldbank_analog",
     ],
     "eivmix.dataset": [
         "cross_pair_expansion",
         "group_mean_pairs",
-        "group_overlap_diagnostic",
     ],
     "eivmix.densities": ["density_eval", "density_sample"],
     "eivmix.metrics": ["residual_summary"],
