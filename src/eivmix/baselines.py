@@ -137,21 +137,6 @@ def deming_line(xs, ys, sigma_eta: float, sigma_eps: float) -> tuple:
     return float(a1), float(a2)
 
 
-def integrated_deming_penalty(alpha2: float, sigma_eta: float, sigma_eps: float, n_pairs: int) -> float:
-    """Slope-dependent volume term (L/2) log(alpha2^2 sigma_eta^2 + sigma_eps^2).
-
-    Adding this to the Deming weighted sum of squares gives exactly the
-    closed-form Gaussian line objective on paired data, which is what makes
-    the maximum-likelihood slope differ from the classical Deming slope.
-    """
-    if not (sigma_eta > 0 and sigma_eps > 0):
-        raise ValueError("sigmas must be > 0")
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    v = alpha2 * alpha2 * sigma_eta * sigma_eta + sigma_eps * sigma_eps
-    return 0.5 * n_pairs * math.log(v)
-
-
 def imputation_fit(ds: GroupedDataset, model: ParametricModel, strategy: str, opt_cfg=None):
     """Fit after collapsing groups back to fake pairs.
 

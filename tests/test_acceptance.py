@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from conftest import record_criterion
-from oracles import quad_oracle_value, single_group
+from oracles import integrated_deming_penalty, quad_oracle_value, single_group
 
 from eivmix import (
     ALL_PAIRS,
@@ -48,7 +48,6 @@ from eivmix import (
     scenario_model,
     scenario_spec,
 )
-from eivmix.baselines import integrated_deming_penalty
 from eivmix.cli import main as cli_main
 from eivmix.data_io import worldbank_analog_path
 from eivmix.densities import density_eval

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import integrated_deming_penalty
+
 from eivmix import (
     ALL_PAIRS,
     GROUP_MEAN,
@@ -17,7 +19,6 @@ from eivmix import (
     ols_general,
     ols_line,
 )
-from eivmix.baselines import integrated_deming_penalty
 
 G1 = ErrorDensity.gaussian(1.0)
 LINE = ParametricModel.affine_1d()

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from surface_io import read_surface
+
 from eivmix import (
     GAUSS_LINE,
     GAUSS_PLANE,
@@ -18,7 +20,6 @@ from eivmix.data_io import (
     RunManifest,
     TabularSchema,
     read_fit_report,
-    read_surface,
     worldbank_analog_path,
     worldbank_analog_schema,
 )

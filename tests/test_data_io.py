@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from analog import make_worldbank_analog, write_worldbank_analog
+from surface_io import read_surface
 
 from eivmix.data_io import (
     AUTO15,
@@ -15,7 +16,6 @@ from eivmix.data_io import (
     paired_subset,
     read_csv,
     read_fit_report,
-    read_surface,
     report_alpha,
     split_indices,
     worldbank_analog_path,

@@ -477,6 +477,29 @@ def test_evaluate_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+def _compile_peak(ds, model):
+    tracemalloc.start()
+    try:
+        CompiledObjective(ds, model, IntegrationConfig())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compile_memory_is_bounded():
+    # the input mixture at every grid node comes from per-axis tables in
+    # blocks: compiling four 400-point 2-d groups used to peak at 1.76 MB
+    # and one 400-point 3-d group at 22.6 MB; building that group's
+    # Khatri-Rao product over all 61^2 grid lines at once peaks at 32 MB
+    ds, model = plane_r4()
+    assert _compile_peak(ds, model) < 1.5 * 2**20
+    rng = np.random.default_rng(5)
+    d3 = ErrorDensity.gaussian([0.3, 0.3, 0.3])
+    group = Group(rng.normal(size=(400, 3)), rng.normal(size=(400, 1)), (d3,) * 400, (G1,) * 400)
+    ds3 = GroupedDataset((group,), 3, 1)
+    assert _compile_peak(ds3, ParametricModel.affine_kd(3)) < 20 * 2**20
+
+
 # -- infrastructure ---------------------------------------------------------------
 
 

@@ -9,12 +9,10 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 # names kept out of the package namespace; each is imported from its module
 MODULE_ONLY = {
-    "eivmix.baselines": ["integrated_deming_penalty"],
     "eivmix.data_io": [
         "RunManifest",
         "paired_subset",
         "read_fit_report",
-        "read_surface",
         "split_indices",
         "worldbank_analog_path",
         "worldbank_analog_schema",
