@@ -50,6 +50,8 @@ class TabularSchema:
     error_std: Dict[str, object] = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.input_columns, str):
+            raise ValueError("input_columns must be a list of column names, not a string")
         cols = tuple(self.input_columns)
         if not cols:
             raise ValueError("at least one input column required")
@@ -60,9 +62,11 @@ class TabularSchema:
         for col, v in self.error_std.items():
             if col not in names:
                 raise ValueError(f"error_std names unknown column {col!r}")
-            if v != AUTO15 and not (isinstance(v, (int, float)) and v > 0):
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if v != AUTO15 and not (number and math.isfinite(v) and v > 0):
                 raise ValueError(
-                    f"error_std for {col!r} must be a positive number or {AUTO15!r}"
+                    f"error_std for {col!r} must be a positive finite number or {AUTO15!r}, "
+                    f"got {v!r}"
                 )
 
     def scale_policy(self, column: str):
@@ -74,7 +78,7 @@ class TabularSchema:
             raw = json.load(fh)
         try:
             return TabularSchema(
-                input_columns=tuple(raw["input_columns"]),
+                input_columns=raw["input_columns"],
                 output_column=raw["output_column"],
                 key_column=raw.get("key_column"),
                 id_column=raw.get("id_column"),
@@ -380,12 +384,9 @@ class RunManifest:
 # -- bundled synthetic analog ---------------------------------------------------
 
 def worldbank_analog_schema() -> TabularSchema:
-    return TabularSchema(
-        input_columns=("birth_rate", "urban_share", "stability", "log_tb"),
-        output_column="life_expectancy",
-        key_column="gdp_per_capita",
-        id_column="country",
-        error_std={},
+    """Schema of the bundled analog CSV, read from its bundled JSON file."""
+    return TabularSchema.from_json(
+        resources.files("eivmix").joinpath("data/worldbank_analog_schema.json")
     )
 
 

@@ -304,8 +304,10 @@ class CompiledObjective:
     The nodes and their weights, including the input mixture f_in at every
     grid node, do not depend on alpha, so compiling computes them once; an
     evaluation costs only the model at the nodes and the output mixture.
-    f_in is a sum of product densities and the grid is a tensor grid, so
-    f_in at the g^k nodes of a group comes from g*k densities per component
+    ``_nodes`` builds each bucket's grid, and only under quadrature: a Monte
+    Carlo compile computes no grid size, budget or node table. f_in is a
+    sum of product densities and the grid is a tensor grid, so f_in at the
+    g^k nodes of a group comes from g*k densities per component
     (``_grid_mixture``) and compiling is cheap next to one evaluation.
 
     ``evaluate``'s ``input_scales`` / ``output_scales`` overrides replace
@@ -334,24 +336,16 @@ class CompiledObjective:
         self.cfg = cfg
         self.n_groups = ds.n_groups
         self.buckets = [_Bucket(*bucket, cfg) for bucket in _buckets(ds)]
-        k = ds.input_dim
-        g = cfg.points_for_dim(k)
-        # every group with a continuous input caches a grid of g^k nodes
-        gridded = sum(b.x.shape[0] for b in self.buckets if b.cont_cols)
-        if cfg.method == QUADRATURE and (
-            g**k > _MAX_GRID_POINTS or gridded * g**k > _MAX_DATASET_GRID_POINTS
-        ):
-            raise ValueError(
-                f"{g} points per dim in {k} dims for {gridded} groups exceeds the "
-                "grid budget; reduce grid_points_per_dim or use the monte-carlo method"
-            )
-        self._grid_points = g
-        # index table for the tensor grid, shape (g^k, k)
-        self._grid_index = np.indices((g,) * k).reshape(k, -1).T
-        wbase = np.ones(g)
-        wbase[0] = wbase[-1] = 0.5
-        self._wprod = np.prod(wbase[self._grid_index], axis=1)  # (G,)
-
+        if cfg.method == QUADRATURE:
+            k = ds.input_dim
+            g = cfg.points_for_dim(k)
+            # every group with a continuous input caches a grid of g^k nodes
+            gridded = sum(b.x.shape[0] for b in self.buckets if b.cont_cols)
+            if g**k > _MAX_GRID_POINTS or gridded * g**k > _MAX_DATASET_GRID_POINTS:
+                raise ValueError(
+                    f"{g} points per dim in {k} dims for {gridded} groups exceeds the "
+                    "grid budget; reduce grid_points_per_dim or use the monte-carlo method"
+                )
         # the nodes and input-mixture weights do not depend on alpha
         for b in self.buckets:
             b.nodes = self._nodes(b, b.xscale)
@@ -393,20 +387,23 @@ class CompiledObjective:
         H = b.x.shape[1]
         nodes = []
         if b.cont_cols:
-            g = self._grid_points
+            k = b.x.shape[2]
+            g = self.cfg.points_for_dim(k)
             pad = self.cfg.grid_halfwidth_sigmas * xscale[:, b.cont_cols, :].max(axis=1)
             c = b.x[:, b.cont_cols, :]
             lo = c.min(axis=1) - pad  # (B, k)
             hi = c.max(axis=1) + pad
             t = np.linspace(0.0, 1.0, g)
             lin = lo[:, None, :] + (hi - lo)[:, None, :] * t[None, :, None]
-            gi = self._grid_index
+            gi = np.indices((g,) * k).reshape(k, -1).T  # node order, (g^k, k)
             fx = _grid_mixture(b.x, xscale, b.in_parts, lin, gi)
             fx /= H
+            trap = np.ones(g)
+            trap[0] = trap[-1] = 0.5
             step = (hi - lo) / (g - 1)
-            w = step.prod(axis=1)[:, None] * self._wprod[None, :]
+            w = step.prod(axis=1)[:, None] * np.prod(trap[gi], axis=1)[None, :]
             w *= fx
-            nodes.append((lin[:, gi, np.arange(gi.shape[1])], w))  # points (B, G, k)
+            nodes.append((lin[:, gi, np.arange(k)], w))  # points (B, g^k, k)
         if b.pm_cols:
             nodes.append((b.x[:, b.pm_cols, :], 1.0 / H))
         return nodes

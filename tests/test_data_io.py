@@ -44,7 +44,7 @@ def write(tmp_path, text, name="d.csv"):
 
 # ---------------------------------------------------------------- schema
 
-def test_schema_validation():
+def test_schema_validation(tmp_path):
     with pytest.raises(ValueError, match="duplicate"):
         TabularSchema(input_columns=("x", "x"), output_column="y")
     with pytest.raises(ValueError, match="duplicate"):
@@ -55,6 +55,17 @@ def test_schema_validation():
     with pytest.raises(ValueError, match="unknown column"):
         TabularSchema(input_columns=("x",), output_column="y",
                       error_std={"z": 1.0})
+    # schema files: a JSON true is not a scale of 1.0, Infinity is not a
+    # scale, and a string is not split into one-character column names
+    for raw, field in (
+        ('"input_columns": ["x"], "error_std": {"x": true}', "error_std for 'x'"),
+        ('"input_columns": ["x"], "error_std": {"x": Infinity}', "error_std for 'x'"),
+        ('"input_columns": "birth_rate"', "input_columns"),
+    ):
+        p = tmp_path / "schema.json"
+        p.write_text('{"output_column": "y", ' + raw + "}")
+        with pytest.raises(ValueError, match=field):
+            TabularSchema.from_json(p)
 
 
 def test_schema_scale_policy_default():

@@ -477,10 +477,10 @@ def test_evaluate_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
-def _compile_peak(ds, model):
+def _compile_peak(ds, model, cfg=IntegrationConfig()):
     tracemalloc.start()
     try:
-        CompiledObjective(ds, model, IntegrationConfig())
+        CompiledObjective(ds, model, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -498,6 +498,24 @@ def test_compile_memory_is_bounded():
     group = Group(rng.normal(size=(400, 3)), rng.normal(size=(400, 1)), (d3,) * 400, (G1,) * 400)
     ds3 = GroupedDataset((group,), 3, 1)
     assert _compile_peak(ds3, ParametricModel.affine_kd(3)) < 20 * 2**20
+
+
+def test_monte_carlo_compile_builds_no_grid():
+    # Monte Carlo never reads a grid, so its compile memory must not grow
+    # with grid_points_per_dim (a 31^4-node table alone is 28 MB)
+    d4 = ErrorDensity.gaussian([0.5] * 4)
+    rng = np.random.default_rng(9)
+    ds = GroupedDataset(
+        [Group(rng.normal(size=(1, 4)), rng.normal(size=(1, 1)), (d4,), (G1,)) for _ in range(20)],
+        4, 1,
+    )
+    peaks = [
+        _compile_peak(ds, ParametricModel.affine_kd(4),
+                      IntegrationConfig(method=MONTE_CARLO, grid_points_per_dim=g))
+        for g in (11, 31)
+    ]
+    assert abs(peaks[1] - peaks[0]) < 2**20
+    assert max(peaks) < 10 * 2**20
 
 
 # -- infrastructure ---------------------------------------------------------------
