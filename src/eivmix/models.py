@@ -86,29 +86,39 @@ def model_eval(model: ParametricModel, alpha, x) -> np.ndarray:
     return model_eval_batch(model, alpha, x[None, :])[0]
 
 
-def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray) -> np.ndarray:
+def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray, out=None) -> np.ndarray:
     """Evaluate the model on a batch of inputs, shape (n, k) -> (n, m).
 
     Affine and polynomial families are vectorized; the generic family falls
-    back to a per-row loop over its hook.
+    back to a per-row loop over its hook. ``out``, an (n, m) float array,
+    receives the values when given and is returned, so a caller evaluating
+    many times can reuse one buffer.
     """
     alpha = _check_alpha(model, alpha)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ValueError(f"batch has shape {xs.shape}, expected (n, {model.input_dim})")
+    if out is None:
+        out = np.empty((xs.shape[0], model.output_dim))
+    elif out.shape != (xs.shape[0], model.output_dim):
+        raise ValueError(f"out has shape {out.shape}, expected ({xs.shape[0]}, {model.output_dim})")
+    y = out[:, 0]
     if model.family == AFFINE_1D:
-        return (alpha[0] + alpha[1] * xs[:, 0])[:, None]
-    if model.family == AFFINE_KD:
-        return (alpha[0] + xs @ alpha[1:])[:, None]
-    if model.family == POLYNOMIAL_1D:
-        return np.polynomial.polynomial.polyval(xs[:, 0], alpha)[:, None]
-    out = np.empty((xs.shape[0], model.output_dim))
-    for i in range(xs.shape[0]):
-        y = np.atleast_1d(np.asarray(model.eval_hook(alpha, xs[i]), dtype=float))
-        if y.shape != (model.output_dim,):
-            raise ValueError(
-                f"eval hook returned shape {y.shape}, "
-                f"expected ({model.output_dim},)"
-            )
-        out[i] = y
+        np.add(np.multiply(xs[:, 0], alpha[1], out=y), alpha[0], out=y)
+    elif model.family == AFFINE_KD:
+        np.add(np.matmul(xs, alpha[1:], out=y), alpha[0], out=y)
+    elif model.family == POLYNOMIAL_1D:
+        # Horner's rule in place: polyval's products and sums, in its order
+        y.fill(alpha[-1])
+        for c in alpha[-2::-1]:
+            np.add(np.multiply(y, xs[:, 0], out=y), c, out=y)
+    else:
+        for i in range(xs.shape[0]):
+            yi = np.atleast_1d(np.asarray(model.eval_hook(alpha, xs[i]), dtype=float))
+            if yi.shape != (model.output_dim,):
+                raise ValueError(
+                    f"eval hook returned shape {yi.shape}, "
+                    f"expected ({model.output_dim},)"
+                )
+            out[i] = yi
     return out

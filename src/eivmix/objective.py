@@ -52,7 +52,6 @@ MONTE_CARLO = "monte-carlo"
 #: equals the fully normalized objective.
 GAUSS_LOG_NORM_PER_GROUP = 0.5 * math.log(2.0 * math.pi)
 
-_MAX_GRID_POINTS = 1 << 22
 #: Grid nodes the compiled objective may cache over all groups together.
 _MAX_DATASET_GRID_POINTS = 1 << 23
 
@@ -125,15 +124,28 @@ class ObjectiveValue:
         return ObjectiveValue(value, per_group_log, note)
 
 
-def _pdf_product(z: np.ndarray, scale: np.ndarray, kind: str) -> np.ndarray:
+def _pdf_norm(scale: np.ndarray, kind: str) -> np.ndarray:
+    """The normaliser of _pdf_product: prod over the last axis of sqrt(2 pi)
+    times the scale (Gaussian) or of twice the half-width (uniform)."""
+    return np.prod(scale * (_SQRT_2PI if kind == GAUSSIAN else 2.0), axis=-1)
+
+
+def _pdf_product(z: np.ndarray, scale: np.ndarray, kind: str, out=None, norm=None) -> np.ndarray:
     """Product density over the last axis; z and scale broadcast together.
-    Overwrites z: working in place halves the evaluation loop's page faults."""
+
+    Overwrites z, so that no temporary of its size is allocated. The result
+    goes to ``out`` when it is given. ``norm``, when given, is
+    _pdf_norm(scale, kind), computed once by a caller that reuses it.
+    """
     if kind == GAUSSIAN:
-        q = np.square(np.divide(z, scale, out=z), out=z).sum(axis=-1)
-        norm = np.prod(scale * _SQRT_2PI, axis=-1)
-        return np.divide(np.exp(np.multiply(q, -0.5, out=q), out=q), norm, out=q)
-    inside = np.all(np.abs(z) <= scale, axis=-1)
-    return inside / np.prod(2.0 * scale, axis=-1)
+        q = np.square(np.divide(z, scale, out=z), out=z).sum(axis=-1, out=out)
+        np.exp(np.multiply(q, -0.5, out=q), out=q)
+    else:
+        # 1.0 where a coordinate lies inside its box, else 0.0: the minimum
+        # over the coordinates is the indicator of the box
+        inside = np.less_equal(np.abs(z, out=z), scale, out=z)
+        q = np.minimum.reduce(inside, axis=-1, out=out)
+    return np.divide(q, _pdf_norm(scale, kind) if norm is None else norm, out=q)
 
 
 def _kind_columns(kinds) -> list:
@@ -146,7 +158,7 @@ def _kind_columns(kinds) -> list:
     return parts
 
 
-def _mixture_sum(centers, scales, parts, pts) -> np.ndarray:
+def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
     """sum_c f_c(centers_c - pts) over the components listed in parts.
 
     centers and scales have shape (B, C, d), parts comes from _kind_columns
@@ -158,23 +170,49 @@ def _mixture_sum(centers, scales, parts, pts) -> np.ndarray:
     (B, C, nb, d) temporary. A block is never one node wide unless n is 1:
     numpy can sum a lone node's components pairwise rather than in order,
     so this keeps every node's sum bit-identical to the unblocked one.
+
+    ``ws``, a dict, keeps the output, the block temporaries and each kind's
+    centers, scales and normaliser from one call to the next, so that calls
+    with the same centers, parts and shapes allocate nothing. Its buffers
+    are made on the first call and its per-kind arrays again whenever
+    ``scales`` is another array. The result is then ws's own buffer, which
+    the next call overwrites. Without ws every call allocates afresh. A
+    caller may keep its own entries in ws under other keys, as
+    ``CompiledObjective.evaluate`` keeps the model values under "vals".
     """
     B, C, d = centers.shape
     n = pts.shape[1]
     nb = max(2, _BLOCK // (B * C * d))
-    out = np.empty((B, n))
+    if ws is None:
+        ws = {}
+    if "out" not in ws:
+        w = min(n, nb + 1)  # the widest block
+        ws.update(out=np.empty((B, n)), z=np.empty(B * C * w * d), q=np.empty(B * C * w), term=np.empty(B * w))
+    if ws.get("scales") is not scales:
+        ws["scales"] = scales
+        ws["kinds"] = []
+        for kind, cols in parts:
+            s = scales[:, cols, None, :]
+            ws["kinds"].append((kind, centers[:, cols, None, :], s, _pdf_norm(s, kind)))
+    out = ws["out"]
     lo = 0
     while lo < n:
         hi = min(n, lo + nb)
         if n - hi == 1:
             hi = n
         block = pts[:, None, lo:hi, :]
-        total = None
-        for kind, cols in parts:
-            z = centers[:, cols, None, :] - block  # (B, Cc, nb, d)
-            term = _pdf_product(z, scales[:, cols, None, :], kind).sum(axis=1)
-            total = term if total is None else total + term
-        out[:, lo:hi] = total
+        m = hi - lo
+        for i, (kind, c, s, norm) in enumerate(ws["kinds"]):
+            # contiguous (B, Cc, m, d) and (B, Cc, m) views of the buffers:
+            # the layout of fresh arrays, so the sums add in the same order
+            size = B * c.shape[1] * m
+            z = np.subtract(c, block, out=ws["z"][: size * d].reshape(B, -1, m, d))
+            q = _pdf_product(z, s, kind, ws["q"][:size].reshape(B, -1, m), norm)
+            term = q.sum(axis=1, out=ws["term"][: B * m].reshape(B, m))
+            if i:
+                out[:, lo:hi] += term
+            else:
+                out[:, lo:hi] = term
         lo = hi
     return out
 
@@ -261,7 +299,7 @@ def _group_of(offsets, row) -> int:
 class _Bucket:
     """One bucket of groups from _buckets, stacked for array math."""
 
-    def __init__(self, rows, inputs, outputs, cfg: IntegrationConfig):
+    def __init__(self, rows, inputs, outputs):
         self.idx = rows
         # (B, H, k) and (B, L, m); point-mass columns get scale 0
         self.x, self.xscale, self.in_kinds = inputs
@@ -271,20 +309,6 @@ class _Bucket:
         self.pm_cols = np.flatnonzero(point_mass).tolist()
         self.in_parts = _kind_columns(self.in_kinds)
         self.out_parts = _kind_columns(self.out_kinds)
-        if cfg.method == MONTE_CARLO:
-            # (B, P) component choices and (B, P, k) unit draws of the chosen
-            # components, seeded from (config seed, group index)
-            B, H, k = self.x.shape
-            P = cfg.mc_samples
-            gaussian = self.in_kinds == KINDS.index(GAUSSIAN)
-            self.mc_comp = np.empty((B, P), dtype=np.intp)
-            self.mc_basis = np.empty((B, P, k))
-            for j, r in enumerate(rows):
-                rng = np.random.default_rng((cfg.seed, int(r)))
-                self.mc_comp[j] = rng.integers(0, H, P)
-                zn = rng.standard_normal((P, k))
-                zu = rng.uniform(-1.0, 1.0, (P, k))
-                self.mc_basis[j] = np.where(gaussian[self.mc_comp[j]][:, None], zn, zu)
 
 
 class CompiledObjective:
@@ -315,7 +339,17 @@ class CompiledObjective:
     coordinate, globally); other density kinds are unaffected. An
     ``input_scales`` override changes f_in, so it rebuilds the nodes on
     every call; that adds the cost of one compile to each evaluation of
-    ``fit_extended``.
+    ``fit_extended``. Monte Carlo keeps only its nodes and redraws them from
+    the same seeds for such an override.
+
+    Evaluations reuse per-bucket buffers: the model values, the output
+    mixture's block temporaries and its result, and the likelihood terms.
+    The first ``evaluate`` makes them, sized from each bucket's shapes, and
+    they live as long as the compiled objective, so repeated evaluations
+    neither allocate nor page-fault. Results never alias them: each
+    ``ObjectiveValue`` owns its ``per_group_log``. Because the buffers are
+    shared, one compiled objective must not be evaluated from two threads at
+    once.
     """
 
     def __init__(self, ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig):
@@ -335,20 +369,22 @@ class CompiledObjective:
         self.model = model
         self.cfg = cfg
         self.n_groups = ds.n_groups
-        self.buckets = [_Bucket(*bucket, cfg) for bucket in _buckets(ds)]
+        self.buckets = [_Bucket(*bucket) for bucket in _buckets(ds)]
         if cfg.method == QUADRATURE:
             k = ds.input_dim
             g = cfg.points_for_dim(k)
             # every group with a continuous input caches a grid of g^k nodes
             gridded = sum(b.x.shape[0] for b in self.buckets if b.cont_cols)
-            if g**k > _MAX_GRID_POINTS or gridded * g**k > _MAX_DATASET_GRID_POINTS:
+            if gridded * g**k > _MAX_DATASET_GRID_POINTS:
                 raise ValueError(
                     f"{g} points per dim in {k} dims for {gridded} groups exceeds the "
                     "grid budget; reduce grid_points_per_dim or use the monte-carlo method"
                 )
-        # the nodes and input-mixture weights do not depend on alpha
+        # the nodes and input-mixture weights do not depend on alpha; each
+        # node set's evaluation buffers are made by the first evaluate
         for b in self.buckets:
             b.nodes = self._nodes(b, b.xscale)
+            b.ws = [{} for _ in b.nodes]
 
     # -- scale overrides ---------------------------------------------------
 
@@ -378,16 +414,23 @@ class CompiledObjective:
         The weights broadcast against (B, n). Point-mass inputs never reach
         numeric evaluation: they are nodes at their centers (sifting).
         """
+        B, H, k = b.x.shape
         if self.cfg.method == MONTE_CARLO:
-            # the mixture is sampled whole: point-mass components simply
-            # land exactly on their centers (zero scale)
-            centers = np.take_along_axis(b.x, b.mc_comp[:, :, None], axis=1)
-            scale = np.take_along_axis(xscale, b.mc_comp[:, :, None], axis=1)
-            return [(centers - scale * b.mc_basis, 1.0 / self.cfg.mc_samples)]
-        H = b.x.shape[1]
+            # the mixture is sampled whole, from component choices and unit
+            # draws seeded by (config seed, group index): point-mass
+            # components simply land exactly on their centers (zero scale)
+            P = self.cfg.mc_samples
+            gaussian = b.in_kinds == KINDS.index(GAUSSIAN)
+            pts = np.empty((B, P, k))
+            for j, r in enumerate(b.idx):
+                rng = np.random.default_rng((self.cfg.seed, int(r)))
+                comp = rng.integers(0, H, P)
+                zn = rng.standard_normal((P, k))
+                zu = rng.uniform(-1.0, 1.0, (P, k))
+                pts[j] = b.x[j, comp] - xscale[j, comp] * np.where(gaussian[comp][:, None], zn, zu)
+            return [(pts, 1.0 / P)]
         nodes = []
         if b.cont_cols:
-            k = b.x.shape[2]
             g = self.cfg.points_for_dim(k)
             pad = self.cfg.grid_halfwidth_sigmas * xscale[:, b.cont_cols, :].max(axis=1)
             c = b.x[:, b.cont_cols, :]
@@ -419,11 +462,13 @@ class CompiledObjective:
                 nodes = self._nodes(b, xscale)
             yscale = self._effective_scales(b.yscale, b.out_kinds, output_scales)
             lik = 0.0
-            for pts, w in nodes:
+            for (pts, w), ws in zip(nodes, b.ws):
                 B, n, k = pts.shape
-                vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k))
-                fy = _mixture_sum(b.y, yscale, b.out_parts, vals.reshape(B, n, -1))
-                lik = lik + np.sum(fy / b.y.shape[1] * w, axis=1)
+                ws["vals"] = vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k), ws.get("vals"))
+                fy = _mixture_sum(b.y, yscale, b.out_parts, vals.reshape(B, n, -1), ws)
+                # the likelihood terms fy / L * w overwrite fy, a buffer of ws
+                np.multiply(np.divide(fy, b.y.shape[1], out=fy), w, out=fy)
+                lik = lik + np.sum(fy, axis=1)
             with np.errstate(divide="ignore"):
                 per_group[b.idx] = np.log(lik)
         return ObjectiveValue.from_group_logs(per_group)

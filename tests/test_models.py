@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eivmix import ParametricModel
-from eivmix.models import model_eval, model_eval_batch
+from eivmix.models import POLYNOMIAL_1D, model_eval, model_eval_batch
 
 
 def test_affine_1d():
@@ -66,3 +68,29 @@ def test_validation():
         ParametricModel.polynomial_1d(-1)
     with pytest.raises(ValueError):
         ParametricModel("affine-1d", 1, 2, 2)  # multi-output without hook
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eval_batch_into_out_is_exact(data):
+    # writing into a reused buffer gives the bits of a fresh evaluation,
+    # whatever the buffer held, and the polynomial's Horner steps in place
+    # are polyval's, in its order
+    model = data.draw(st.one_of(
+        st.builds(ParametricModel.polynomial_1d, st.integers(0, 5)),
+        st.just(ParametricModel.affine_1d()),
+        st.builds(ParametricModel.affine_kd, st.integers(1, 4)),
+    ))
+    n = data.draw(st.integers(1, 40))
+    xs = np.array(data.draw(st.lists(finite, min_size=n * model.input_dim, max_size=n * model.input_dim)))
+    xs = xs.reshape(n, model.input_dim)
+    alpha = np.array(data.draw(st.lists(finite, min_size=model.param_dim, max_size=model.param_dim)))
+    want = model_eval_batch(model, alpha, xs)
+    buf = np.full((n, 1), data.draw(st.sampled_from([np.nan, np.inf, -0.0, 7.0])))
+    got = model_eval_batch(model, alpha, xs, out=buf)
+    assert got is buf and got.tobytes() == want.tobytes()
+    if model.family == POLYNOMIAL_1D:
+        np.testing.assert_array_equal(got[:, 0], np.polynomial.polynomial.polyval(xs[:, 0], alpha))

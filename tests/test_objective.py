@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -477,6 +480,71 @@ def test_evaluate_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from eivmix import IntegrationConfig, generate_scenario, scenario_spec
+from eivmix.objective import CompiledObjective
+from eivmix.simulate import scenario_model
+
+spec = scenario_spec("cubic", R=200)
+ds = generate_scenario(spec, np.random.default_rng(0))
+compiled = CompiledObjective(ds, scenario_model(spec), IntegrationConfig())
+alpha = np.asarray(spec.alpha, dtype=float)
+for _ in range(2):
+    compiled.evaluate(alpha)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(20):
+    compiled.evaluate(alpha + 1e-3 * i)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_evaluate_does_not_fault_pages():
+    # evaluations reuse each bucket's buffers; fresh temporaries of about
+    # 320 KB per bucket were returned to the OS and faulted in again on every
+    # call, 124 to 279 minor faults per evaluation on this dataset. The probe runs in
+    # a fresh interpreter: the large arrays other tests free raise glibc's
+    # mmap threshold, which would hide that churn in this process.
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(objective.__file__))}
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert int(probe.stdout) < 40
+
+
+def test_reused_buffers_leak_nothing_between_calls():
+    # every call overwrites the same buffers: an earlier result keeps its
+    # values, and each call equals the same call on a fresh compile, across
+    # grid and point-mass nodes, Monte Carlo and both scale overrides
+    rng = np.random.default_rng(8)
+    G, U, P = ErrorDensity.gaussian(0.5), ErrorDensity.uniform(0.4), ErrorDensity.point_mass(1)
+    ds = GroupedDataset(
+        tuple(
+            Group(rng.normal(size=(len(ins), 1)), rng.normal(size=(len(outs), 1)), ins, outs)
+            for ins, outs in [((G,), (G,)), ((G,), (U,)), ((G, U, P), (G, U)), ((G, U, P), (G, U))]
+        ),
+        1,
+        1,
+    )
+    calls = [
+        ([0.1, 0.5], {}),
+        ([0.2, 0.4], {"output_scales": [0.8]}),
+        ([0.2, 0.4], {"input_scales": [0.3]}),
+        ([0.0, 0.6], {}),
+        ([0.1, 0.5], {"input_scales": [0.6], "output_scales": [1.2]}),
+        ([0.1, 0.5], {}),
+    ]
+    for cfg in (IntegrationConfig(), IntegrationConfig(method=MONTE_CARLO, mc_samples=300, seed=2)):
+        compiled = CompiledObjective(ds, LINE, cfg)
+        first = compiled.evaluate([0.1, 0.5]).per_group_log
+        kept = first.copy()
+        for alpha, overrides in calls:
+            got = compiled.evaluate(alpha, **overrides).per_group_log
+            want = CompiledObjective(ds, LINE, cfg).evaluate(alpha, **overrides).per_group_log
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(first, kept)
+
+
 def _compile_peak(ds, model, cfg=IntegrationConfig()):
     tracemalloc.start()
     try:
@@ -565,7 +633,17 @@ def test_grid_budget_guard():
     ds = GroupedDataset((g,), 3, 1)
     model = ParametricModel.generic(3, 1, 1, lambda a, x: np.array([a[0]]))
     with pytest.raises(ValueError, match="grid budget"):
-        CompiledObjective(ds, model, IntegrationConfig(grid_points_per_dim=201))
+        CompiledObjective(ds, model, IntegrationConfig(grid_points_per_dim=205))
+
+
+def test_lone_group_may_use_the_whole_grid_budget(monkeypatch):
+    # one budget covers all groups together, so a lone group may cache up to
+    # _MAX_DATASET_GRID_POINTS nodes: 2^22 < 201^3 <= 2^23
+    d3 = ErrorDensity.gaussian([1.0, 1.0, 1.0])
+    g = Group(np.zeros((1, 3)), np.zeros((1, 1)), (d3,), (G1,))
+    model = ParametricModel.affine_kd(3)
+    monkeypatch.setattr(CompiledObjective, "_nodes", lambda self, b, xscale: [])
+    CompiledObjective(GroupedDataset((g,), 3, 1), model, IntegrationConfig(grid_points_per_dim=201))
 
 
 def test_dataset_grid_budget_guard(monkeypatch):
