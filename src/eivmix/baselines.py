@@ -86,13 +86,13 @@ def ols_general(xs, ys, model: ParametricModel, opt_cfg=None):
 
         return nelder_mead(ssr, np.zeros(model.param_dim), cfg)
     design = _design_matrix(model, xs)
-    rank = np.linalg.matrix_rank(design)
+    # lstsq's rank uses matrix_rank's threshold, eps * max(m, n) * s_max
+    alpha, _, rank, _ = np.linalg.lstsq(design, ys[:, 0], rcond=None)
     if rank < design.shape[1]:
         raise ValueError(
             f"rank-deficient design matrix (rank {rank} < {design.shape[1]}); "
             "inputs do not identify the parameters"
         )
-    alpha, *_ = np.linalg.lstsq(design, ys[:, 0], rcond=None)
     resid = ys[:, 0] - design @ alpha
     return FitResult(
         alpha_hat=alpha,

@@ -157,6 +157,10 @@ def _add_optimizer(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_fit(args) -> int:
+    if args.group_size < 1:
+        raise ValueError(f"--group-size must be >= 1, got {args.group_size}")
+    if args.test_size != 0 and args.test_size < 2:
+        raise ValueError("--test-size must be 0 or >= 2: the test R-squared needs two rows")
     t0 = time.perf_counter()
     manifest = _new_manifest("fit", args)
     schema = TabularSchema.from_json(args.schema)

@@ -19,7 +19,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+import os
+from dataclasses import asdict, dataclass, field as dataclass_field
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -31,6 +32,12 @@ from .optimize import FitResult, SurfaceGrid
 
 AUTO15 = "auto15"
 _AUTO15_FRACTION = 0.15
+
+
+def _write_json(raw, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _fmt(x) -> str:
@@ -88,16 +95,7 @@ class TabularSchema:
             raise ValueError(f"malformed schema file {path}: {exc}") from exc
 
     def to_json(self, path) -> None:
-        raw = {
-            "input_columns": list(self.input_columns),
-            "output_column": self.output_column,
-            "key_column": self.key_column,
-            "id_column": self.id_column,
-            "error_std": dict(self.error_std),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(asdict(self), path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,13 +213,11 @@ def paired_subset(ds: PairedDataset, idx) -> PairedDataset:
 # -- fit reports --------------------------------------------------------------
 
 
-def write_fit_report(path, fit: FitResult, metrics=None, config=None, timestamp=None) -> None:
+def write_fit_report(path, fit: FitResult, metrics=None, config=None) -> None:
     """Human-readable fit report with a machine-readable flat table.
 
     The [table] section at the end holds name,value rows; floats carry 17
-    significant digits, so read_fit_report reproduces them exactly. The
-    timestamp line is informational and excluded from reproducibility
-    comparisons.
+    significant digits, so read_fit_report reproduces them exactly.
     """
     table = {}
     for i, a in enumerate(fit.alpha_hat, start=1):
@@ -238,11 +234,7 @@ def write_fit_report(path, fit: FitResult, metrics=None, config=None, timestamp=
             table[f"output_scale_{i}"] = float(s)
     for name, value in (metrics or {}).items():
         table[name] = value
-    lines = ["# fit report"]
-    if timestamp:
-        lines.append(f"timestamp: {timestamp}")
-    lines.append("")
-    lines.append("[fit]")
+    lines = ["# fit report", "", "[fit]"]
     lines.append("alpha_hat: " + " ".join(_fmt(float(a)) for a in fit.alpha_hat))
     lines.append(f"objective_at_min: {_fmt(float(fit.objective_at_min))}")
     lines.append(f"iterations: {fit.iterations}")
@@ -356,23 +348,10 @@ class RunManifest:
     outputs: Dict[str, str] = dataclass_field(default_factory=dict)
 
     def add_output(self, path) -> None:
-        import os
-
         self.outputs[os.path.basename(str(path))] = file_sha256(path)
 
     def write(self, path) -> None:
-        raw = {
-            "command": self.command,
-            "arguments": self.arguments,
-            "seed": self.seed,
-            "package_version": self.package_version,
-            "started_utc": self.started_utc,
-            "wall_seconds": self.wall_seconds,
-            "outputs": self.outputs,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(raw, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(asdict(self), path)
 
     @staticmethod
     def load(path) -> "RunManifest":

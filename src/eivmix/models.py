@@ -25,7 +25,6 @@ class ParametricModel:
     input_dim: int
     output_dim: int
     param_dim: int
-    degree: Optional[int] = None
     eval_hook: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -54,7 +53,7 @@ class ParametricModel:
         """M(x) = sum_{i=0}^{degree} alpha_{i+1} x^i on scalar inputs."""
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        return ParametricModel(POLYNOMIAL_1D, 1, 1, degree + 1, degree=degree)
+        return ParametricModel(POLYNOMIAL_1D, 1, 1, degree + 1)
 
     @staticmethod
     def generic(
@@ -69,12 +68,10 @@ class ParametricModel:
         )
 
 
-def _check_alpha(model: ParametricModel, alpha) -> np.ndarray:
+def _check_alpha(param_dim: int, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.shape != (model.param_dim,):
-        raise ValueError(
-            f"alpha has shape {alpha.shape}, expected ({model.param_dim},)"
-        )
+    if alpha.shape != (param_dim,):
+        raise ValueError(f"alpha has shape {alpha.shape}, expected ({param_dim},)")
     return alpha
 
 
@@ -94,7 +91,7 @@ def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray, out=None) ->
     receives the values when given and is returned, so a caller evaluating
     many times can reuse one buffer.
     """
-    alpha = _check_alpha(model, alpha)
+    alpha = _check_alpha(model.param_dim, alpha)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != model.input_dim:
         raise ValueError(f"batch has shape {xs.shape}, expected (n, {model.input_dim})")

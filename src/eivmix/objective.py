@@ -42,7 +42,7 @@ import numpy as np
 from .dataset import GroupedDataset
 from .densities import GAUSSIAN, KINDS, POINT_MASS, UNIFORM
 from .densities import _SQRT_2PI
-from .models import ParametricModel, model_eval_batch
+from .models import ParametricModel, _check_alpha, model_eval_batch
 
 QUADRATURE = "quadrature-grid"
 MONTE_CARLO = "monte-carlo"
@@ -113,13 +113,13 @@ class ObjectiveValue:
     @staticmethod
     def from_group_logs(per_group_log: np.ndarray) -> "ObjectiveValue":
         per_group_log = np.asarray(per_group_log, dtype=float)
+        value = float(-per_group_log.sum())
         note = None
-        if np.any(np.isneginf(per_group_log)):
+        if not math.isfinite(value):
             bad = np.flatnonzero(np.isneginf(per_group_log))
-            note = "likelihood underflow in groups " + str(bad.tolist())
-            value = math.inf
-        else:
-            value = float(-per_group_log.sum())
+            if bad.size:
+                note = "likelihood underflow in groups " + str(bad.tolist())
+                value = math.inf
         per_group_log.flags.writeable = False
         return ObjectiveValue(value, per_group_log, note)
 
@@ -544,7 +544,7 @@ class CompiledGaussianPlane:
         ]
 
     def evaluate(self, alpha) -> ObjectiveValue:
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+        alpha = _check_alpha(self.sigma_eta.size + 1, alpha)
         slopes = alpha[1:]
         v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
         per_group = np.empty(self.n_groups)
@@ -614,8 +614,7 @@ class CompiledIntervalLine:
         ]
 
     def evaluate(self, alpha) -> ObjectiveValue:
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        a1, a2 = float(alpha[0]), float(alpha[1])
+        a1, a2 = _check_alpha(2, alpha).tolist()
         per_group = np.empty(self.n_groups)
         for rows, xb, v, yb, w in self.buckets:
             if abs(a2) < self.A2_TOL * (1.0 + abs(a1)):

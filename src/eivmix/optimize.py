@@ -102,18 +102,12 @@ def _simplex_descent(f, x0: np.ndarray, cfg: OptimizerConfig):
                 simplex[-1], fvals[-1] = xr, fr
         elif fr < fvals[-2]:
             simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-1]:
-            xc = centroid + 0.5 * (xr - centroid)
-            fc = f(xc)
-            if fc <= fr:
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                fvals[1:] = [f(x) for x in simplex[1:]]
         else:
-            xc = centroid + 0.5 * (worst - centroid)
+            # outside contraction when xr beats the worst vertex, else inside
+            outside = fr < fvals[-1]
+            xc = centroid + 0.5 * ((xr if outside else worst) - centroid)
             fc = f(xc)
-            if fc < fvals[-1]:
+            if (fc <= fr) if outside else (fc < fvals[-1]):
                 simplex[-1], fvals[-1] = xc, fc
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
@@ -221,9 +215,7 @@ def fit_extended(
     """
     lo, hi = scale_bounds
     k, m = ds.input_dim, ds.output_dim
-    if lo.input_scales.shape != (k,) or lo.output_scales.shape != (m,):
-        raise ValueError("scale bounds must match dataset dimensions")
-    if hi.input_scales.shape != (k,) or hi.output_scales.shape != (m,):
+    if any(b.input_scales.shape != (k,) or b.output_scales.shape != (m,) for b in (lo, hi)):
         raise ValueError("scale bounds must match dataset dimensions")
     lo_all = np.concatenate([lo.input_scales, lo.output_scales])
     hi_all = np.concatenate([hi.input_scales, hi.output_scales])

@@ -87,6 +87,22 @@ def test_fit_exit_codes(tmp_path, line_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--group-size", "0"), ("--group-size", "-3"), ("--test-size", "1"), ("--test-size", "-2")],
+)
+def test_fit_rejects_bad_sizes_before_reading(tmp_path, line_csv, capsys, flag, value):
+    data, schema = line_csv
+    out = tmp_path / "run"
+    # a missing data file shows the flag is checked before any reading
+    for data in (data, tmp_path / "nope.csv"):
+        rc = main(["fit", "--data", str(data), "--schema", str(schema),
+                   "--out", str(out), flag, value])
+        assert rc == 3
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     out = str(tmp_path / "surface.csv")
     for argv in (

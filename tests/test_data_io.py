@@ -93,6 +93,29 @@ def test_schema_json_round_trip(tmp_path):
     assert raw["input_columns"] == ["a", "b"]
 
 
+def test_schema_json_bytes(tmp_path):
+    # key order, two-space indent and the trailing newline are part of the format
+    s = TabularSchema(input_columns=("b", "a"), output_column="y", key_column="k",
+                      error_std={"y": AUTO15, "a": 0.5})
+    p = tmp_path / "schema.json"
+    s.to_json(p)
+    assert p.read_text() == (
+        '{\n'
+        '  "error_std": {\n'
+        '    "a": 0.5,\n'
+        '    "y": "auto15"\n'
+        '  },\n'
+        '  "id_column": null,\n'
+        '  "input_columns": [\n'
+        '    "b",\n'
+        '    "a"\n'
+        '  ],\n'
+        '  "key_column": "k",\n'
+        '  "output_column": "y"\n'
+        '}\n'
+    )
+
+
 def test_schema_from_json_rejects_junk(tmp_path):
     p = tmp_path / "schema.json"
     p.write_text(json.dumps({"output_column": "y"}))
@@ -305,6 +328,33 @@ def test_manifest_round_trip(tmp_path):
     assert back.command == "fit"
     assert back.arguments == {"seed": 3, "out": "out.txt"}
     assert back.outputs["out.txt"] == file_sha256(f)
+
+
+def test_manifest_bytes(tmp_path):
+    m = RunManifest(command="fit", arguments={"seed": 3, "out": "run", "method": None},
+                    seed=3, package_version="0.1.0",
+                    started_utc="2026-01-01T00:00:00Z", wall_seconds=0.25,
+                    outputs={"report.txt": "ab", "eval.txt": "cd"})
+    p = tmp_path / "manifest.json"
+    m.write(p)
+    assert p.read_text() == (
+        '{\n'
+        '  "arguments": {\n'
+        '    "method": null,\n'
+        '    "out": "run",\n'
+        '    "seed": 3\n'
+        '  },\n'
+        '  "command": "fit",\n'
+        '  "outputs": {\n'
+        '    "eval.txt": "cd",\n'
+        '    "report.txt": "ab"\n'
+        '  },\n'
+        '  "package_version": "0.1.0",\n'
+        '  "seed": 3,\n'
+        '  "started_utc": "2026-01-01T00:00:00Z",\n'
+        '  "wall_seconds": 0.25\n'
+        '}\n'
+    )
 
 
 def test_file_sha256_known_value(tmp_path):

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import quad_oracle_value, single_group
 
@@ -596,6 +598,49 @@ def test_underflow_gives_inf_not_nan():
     assert got.value == math.inf
     assert not np.isnan(got.per_group_log).any()
     assert "underflow in groups [0]" in got.note
+
+
+def _from_group_logs_reference(per_group_log):
+    # the decomposition as first written: scan for -inf, then sum
+    if np.any(np.isneginf(per_group_log)):
+        bad = np.flatnonzero(np.isneginf(per_group_log))
+        return math.inf, "likelihood underflow in groups " + str(bad.tolist())
+    return float(-per_group_log.sum()), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([-math.inf, math.inf, math.nan])),
+    max_size=40,
+))
+def test_from_group_logs_matches_reference(logs):
+    logs = np.array(logs, dtype=float)
+    # sums of huge finite values overflow, and +inf meeting -inf is invalid
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_value, want_note = _from_group_logs_reference(logs)
+        got = objective.ObjectiveValue.from_group_logs(logs.copy())
+    assert np.array_equal(got.per_group_log, logs, equal_nan=True)
+    assert got.note == want_note
+    if math.isnan(want_value):
+        assert math.isnan(got.value)
+    else:
+        assert np.float64(got.value).tobytes() == np.float64(want_value).tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.5, 99.0], [0.5]])
+def test_every_objective_checks_alpha_length(bad):
+    d_ds = generate_scenario(scenario_spec("D", R=3), np.random.default_rng(0))
+    a_ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
+    message = rf"alpha has shape \({len(bad)},\), expected \(2,\)"
+    for evaluate in (
+        lambda a: nll_general(d_ds, LINE, IntegrationConfig(), a),
+        lambda a: likelihood_interval_line(d_ds, a),
+        lambda a: nll_gaussian_line(a_ds, 0.2, 0.2, a),
+        lambda a: nll_gaussian_hyperplane(a_ds, [0.2], 0.2, a),
+    ):
+        with pytest.raises(ValueError, match=message):
+            evaluate(bad)
 
 
 def test_objective_value_decomposition():
