@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import sys
 import time
@@ -302,7 +303,12 @@ def _parse_range(text: str, name: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must look like lo:hi:n, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"{name} must look like lo:hi:n with an integer n, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} bounds must be finite, got {text!r}")
     return lo, hi, n
 
 

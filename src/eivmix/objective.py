@@ -523,6 +523,12 @@ class CompiledGaussianPlane:
     combination contributes a Gaussian in the combined residual with
     variance V = sum_n alpha_{n+1}^2 sigma_eta_n^2 + sigma_eps^2. Values
     omit GAUSS_LOG_NORM_PER_GROUP per group (see module docstring).
+
+    Each bucket keeps one (B, H, L) buffer that every evaluation overwrites,
+    so repeated evaluations neither allocate it nor page-fault. Results
+    never alias it: each ``ObjectiveValue`` owns its ``per_group_log``.
+    Because the buffer is shared, one compiled objective must not be
+    evaluated from two threads at once.
     """
 
     def __init__(self, ds: GroupedDataset, sigma_eta, sigma_eps: float):
@@ -538,21 +544,27 @@ class CompiledGaussianPlane:
         self.sigma_eta = sigma_eta
         self.sigma_eps = float(sigma_eps)
         self.n_groups = ds.n_groups
-        self.buckets = [
-            (rows, x, y[:, :, 0], math.log(x.shape[1] * y.shape[1]))
-            for rows, (x, _, _), (y, _, _) in _buckets(ds)
-        ]
+        self.buckets = []
+        for rows, (x, _, _), (y, _, _) in _buckets(ds):
+            B, H, L = len(rows), x.shape[1], y.shape[1]
+            self.buckets.append((rows, x, y[:, :, 0], math.log(H * L), np.empty((B, H, L))))
 
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = _check_alpha(self.sigma_eta.size + 1, alpha)
         slopes = alpha[1:]
         v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
         per_group = np.empty(self.n_groups)
-        for rows, x, y, log_hl in self.buckets:
+        for rows, x, y, log_hl, u in self.buckets:
             pred = alpha[0] + x @ slopes  # (B, H)
-            e = -((pred[:, :, None] - y[:, None, :]) ** 2) / (2.0 * v)  # (B, H, L)
-            emax = e.max(axis=(1, 2))
-            lse = emax + np.log(np.exp(e - emax[:, None, None]).sum(axis=(1, 2)))
+            # u = d^2 / (2V) is minus each combination's exponent; IEEE
+            # negation and division commute exactly, so umin - u is bit for
+            # bit the e - max(e) of e = -d^2 / (2V). log - umin rather than
+            # -umin + log keeps the sign bit of a NaN result as well
+            np.subtract(pred[:, :, None], y[:, None, :], out=u)
+            np.divide(np.square(u, out=u), 2.0 * v, out=u)
+            umin = u.min(axis=(1, 2))
+            total = np.exp(np.subtract(umin[:, None, None], u, out=u), out=u).sum(axis=(1, 2))
+            lse = np.log(total) - umin
             per_group[rows] = lse - log_hl - 0.5 * math.log(v)
         return ObjectiveValue.from_group_logs(per_group)
 
@@ -593,6 +605,14 @@ class CompiledIntervalLine:
     slab mapped through the line that lands inside the output interval,
     normalized by (2v)(2w), i.e. (1 / (4 v w)) * overlap. Values keep full
     normalization and equal nll_general exactly (up to quadrature error).
+
+    Compiling computes the alpha-invariant factors once: -v and the
+    normalizer 4 v w of every combination. Each bucket keeps two (B, H, L)
+    buffers that every evaluation overwrites, so repeated evaluations
+    neither allocate them nor page-fault. Results never alias them: each
+    ``ObjectiveValue`` owns its ``per_group_log``. Because the buffers are
+    shared, one compiled objective must not be evaluated from two threads at
+    once.
     """
 
     A2_TOL = 1e-12
@@ -608,15 +628,16 @@ class CompiledIntervalLine:
                     "density; interval closed form requires uniform-box errors on both sides"
                 )
         self.n_groups = ds.n_groups
-        self.buckets = [
-            (rows, x[:, :, 0], v[:, :, 0], y[:, :, 0], w[:, :, 0])
-            for rows, (x, v, _), (y, w, _) in _buckets(ds)
-        ]
+        self.buckets = []
+        for rows, (x, v, _), (y, w, _) in _buckets(ds):
+            w = w[:, :, 0]  # (B, L); x and v are (B, H, 1)
+            norm = 4.0 * v * w[:, None, :]  # (B, H, L)
+            self.buckets.append((rows, x, v, -v, y[:, :, 0], w, norm, np.empty_like(norm), np.empty_like(norm)))
 
     def evaluate(self, alpha) -> ObjectiveValue:
         a1, a2 = _check_alpha(2, alpha).tolist()
         per_group = np.empty(self.n_groups)
-        for rows, xb, v, yb, w in self.buckets:
+        for rows, x, v, neg_v, yb, w, norm, hi, lo in self.buckets:
             if abs(a2) < self.A2_TOL * (1.0 + abs(a1)):
                 # constant model: input interval is irrelevant
                 terms = (np.abs(yb - a1) <= w) / (2.0 * w)  # (B, L)
@@ -624,14 +645,12 @@ class CompiledIntervalLine:
             else:
                 shift = (a1 - yb[:, None, :]) / a2  # (B, 1, L)
                 half = w[:, None, :] / abs(a2)
-                center = xb[:, :, None] + shift  # (B, H, L)
-                cmin = center - half
-                cmax = center + half
-                vv = v[:, :, None]
-                overlap = np.minimum(vv, cmax) - np.maximum(-vv, cmin)
-                overlap = np.maximum(overlap, 0.0)
-                terms = overlap / (4.0 * vv * w[:, None, :])
-                lik = terms.mean(axis=(1, 2))
+                center = np.add(x, shift, out=hi)  # (B, H, L)
+                np.subtract(center, half, out=lo)
+                np.add(center, half, out=hi)
+                overlap = np.subtract(np.minimum(v, hi, out=hi), np.maximum(neg_v, lo, out=lo), out=hi)
+                np.maximum(overlap, 0.0, out=overlap)
+                lik = np.divide(overlap, norm, out=overlap).mean(axis=(1, 2))
             with np.errstate(divide="ignore"):
                 per_group[rows] = np.log(lik)
         return ObjectiveValue.from_group_logs(per_group)

@@ -299,9 +299,10 @@ def objective_surface(
 ) -> SurfaceGrid:
     """Tabulate the objective over two parameter coordinates.
 
-    ``axis1`` and ``axis2`` are (param index, lo, hi, n) tuples; all other
-    coordinates come from the ``fixed`` template vector. The grid argmin is
-    the first minimizing cell in row-major order.
+    ``axis1`` and ``axis2`` are (param index, lo, hi, n) tuples with finite
+    bounds; all other coordinates come from the ``fixed`` template vector,
+    whose values must be finite too. The grid argmin is the first minimizing
+    cell in row-major order.
     """
     i1, lo1, hi1, n1 = axis1
     i2, lo2, hi2, n2 = axis2
@@ -315,6 +316,11 @@ def objective_surface(
             raise ValueError(f"axis index {i} outside parameter vector")
     if i1 == i2:
         raise ValueError("axis indices must differ")
+    for name, lo, hi in (("axis1", lo1, hi1), ("axis2", lo2, hi2)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} bounds must be finite, got {lo}:{hi}")
+    if not np.all(np.isfinite(fixed)):
+        raise ValueError(f"fixed template values must be finite, got {fixed.tolist()}")
     if n1 < 2 or n2 < 2:
         raise ValueError("grid axes need at least 2 points")
     objective = _build_objective(ds, model, objective_choice, int_cfg)

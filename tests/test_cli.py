@@ -175,6 +175,25 @@ def test_surface_bad_range(tmp_path, capsys):
     assert "lo:hi:n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "ranges, flag, message",
+    [
+        (["--range1=nan:1:5", "--range2=0:1:3"], "--range1", "finite"),
+        (["--range1=0:inf:5", "--range2=0:1:3"], "--range1", "finite"),
+        (["--range1=0:1:5", "--range2=-inf:1:3"], "--range2", "finite"),
+        (["--range1=0:1:2.5", "--range2=0:1:3"], "--range1", "integer n"),
+    ],
+)
+def test_surface_rejects_non_finite_or_fractional_range(tmp_path, capsys, ranges, flag, message):
+    # a non-finite bound used to give an all-NaN surface and exit 0
+    out = tmp_path / "s.txt"
+    rc = main(["surface", "--scenario", "A", "--groups", "3", *ranges, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert flag in err and message in err
+    assert not out.exists()
+
+
 def test_eval_subcommand(tmp_path, line_csv, capsys):
     data, schema = line_csv
     fit_out = tmp_path / "run"

@@ -26,7 +26,13 @@ from eivmix import (
 )
 from eivmix import objective
 from eivmix.densities import GAUSSIAN
-from eivmix.objective import GAUSS_LOG_NORM_PER_GROUP, CompiledObjective, shared_gaussian_scales
+from eivmix.objective import (
+    GAUSS_LOG_NORM_PER_GROUP,
+    CompiledGaussianPlane,
+    CompiledIntervalLine,
+    CompiledObjective,
+    shared_gaussian_scales,
+)
 from eivmix import PairedDataset, generate_scenario, scenario_spec
 from eivmix.simulate import scenario_model
 
@@ -278,6 +284,108 @@ def test_interval_requires_uniform():
         likelihood_interval_line(ds, [0.0, 1.0])
 
 
+def _gauss_plane_reference(ds, sigma_eta, sigma_eps, alpha):
+    # CompiledGaussianPlane's pairwise formula as first written, on fresh
+    # temporaries
+    sigma_eta = np.atleast_1d(np.asarray(sigma_eta, dtype=float))
+    alpha = np.asarray(alpha, dtype=float)
+    slopes = alpha[1:]
+    v = float(np.sum(slopes**2 * sigma_eta**2) + sigma_eps**2)
+    per_group = np.empty(ds.n_groups)
+    for rows, (x, _, _), (y, _, _) in objective._buckets(ds):
+        y = y[:, :, 0]
+        log_hl = math.log(x.shape[1] * y.shape[1])
+        pred = alpha[0] + x @ slopes  # (B, H)
+        e = -((pred[:, :, None] - y[:, None, :]) ** 2) / (2.0 * v)  # (B, H, L)
+        emax = e.max(axis=(1, 2))
+        lse = emax + np.log(np.exp(e - emax[:, None, None]).sum(axis=(1, 2)))
+        per_group[rows] = lse - log_hl - 0.5 * math.log(v)
+    return per_group
+
+
+def _interval_line_reference(ds, alpha):
+    # CompiledIntervalLine's pairwise formula as first written, on fresh
+    # temporaries
+    a1, a2 = np.asarray(alpha, dtype=float).tolist()
+    per_group = np.empty(ds.n_groups)
+    for rows, (x, v, _), (y, w, _) in objective._buckets(ds):
+        xb, v, yb, w = x[:, :, 0], v[:, :, 0], y[:, :, 0], w[:, :, 0]
+        if abs(a2) < CompiledIntervalLine.A2_TOL * (1.0 + abs(a1)):
+            terms = (np.abs(yb - a1) <= w) / (2.0 * w)  # (B, L)
+            lik = terms.mean(axis=1)
+        else:
+            shift = (a1 - yb[:, None, :]) / a2  # (B, 1, L)
+            half = w[:, None, :] / abs(a2)
+            center = xb[:, :, None] + shift  # (B, H, L)
+            cmin = center - half
+            cmax = center + half
+            vv = v[:, :, None]
+            overlap = np.minimum(vv, cmax) - np.maximum(-vv, cmin)
+            overlap = np.maximum(overlap, 0.0)
+            terms = overlap / (4.0 * vv * w[:, None, :])
+            lik = terms.mean(axis=(1, 2))
+        with np.errstate(divide="ignore"):
+            per_group[rows] = np.log(lik)
+    return per_group
+
+
+# (H, L) per group: paired, three equal groups, one group, and mixed sizes
+# that give several buckets, some holding more than one group
+_CLOSED_FORM_LAYOUTS = (
+    [(1, 1)] * 12,
+    [(30, 30)] * 3,
+    [(25, 17)],
+    [(1, 1), (2, 3), (1, 1), (4, 2), (2, 3), (5, 5), (1, 1)],
+)
+_CLOSED_FORM_COORDS = st.one_of(
+    st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-13, -1e-13, 1e-3, 30.0, -30.0])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([1, 2]),
+    sizes=st.one_of(
+        st.sampled_from(_CLOSED_FORM_LAYOUTS),
+        st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=8),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    drawn=st.lists(st.lists(_CLOSED_FORM_COORDS, min_size=3, max_size=3), max_size=4),
+)
+def test_buffered_closed_forms_are_exact(k, sizes, seed, drawn):
+    # both closed forms evaluate into buffers each bucket keeps: every call
+    # on one compiled object, interleaved with calls at other alpha, gives
+    # per_group_log bit for bit equal to the formulas on fresh temporaries,
+    # and an earlier result is unchanged by later calls
+    rng = np.random.default_rng(seed)
+    groups = []
+    for h_n, l_n in sizes:
+        ins = tuple(ErrorDensity.uniform([rng.uniform(0.1, 1.0)] * k) for _ in range(h_n))
+        outs = tuple(ErrorDensity.uniform(rng.uniform(0.1, 1.0)) for _ in range(l_n))
+        groups.append(Group(rng.uniform(-2, 2, (h_n, k)), rng.uniform(-2, 2, (l_n, 1)), ins, outs))
+    ds = GroupedDataset(tuple(groups), k, 1)
+    # both slope signs, the flat-slope branch (exactly flat and within
+    # A2_TOL) and a line missing every output interval (-inf), then the
+    # drawn points, then the first point again
+    fixed = [[0.2, 0.7, -0.4], [0.2, -0.7, 0.4], [0.5, 0.0, 0.0], [0.5, 1e-13, 0.0], [30.0, 1e-3, 1e-3]]
+    calls = [a[: k + 1] for a in fixed + drawn + fixed[:1]]
+    sigma_eta = [0.3] * k
+    objectives = [(CompiledGaussianPlane(ds, sigma_eta, 0.5), lambda a: _gauss_plane_reference(ds, sigma_eta, 0.5, a))]
+    if k == 1:
+        objectives.append((CompiledIntervalLine(ds), lambda a: _interval_line_reference(ds, a)))
+    kept = []
+    for alpha in calls:
+        for compiled, reference in objectives:
+            got = compiled.evaluate(alpha).per_group_log
+            assert got.tobytes() == reference(alpha).tobytes()
+            kept.append((got, got.copy()))
+    if k == 1:
+        # kept[9] is the interval line's fifth call, the line missing every output
+        assert np.isneginf(kept[9][0]).all()
+    for got, copy in kept:
+        assert got.tobytes() == copy.tobytes()
+
+
 # -- Monte Carlo ----------------------------------------------------------------
 
 
@@ -512,6 +620,44 @@ def test_evaluate_does_not_fault_pages():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(objective.__file__))}
     probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True, text=True, check=True)
     assert int(probe.stdout) < 40
+
+
+_CLOSED_FORM_FAULT_PROBE = """
+import resource
+import numpy as np
+from eivmix import generate_scenario, scenario_spec
+from eivmix.objective import CompiledGaussianPlane, CompiledIntervalLine
+
+for name in ("D", "A"):
+    spec = scenario_spec(name, R=3)
+    ds = generate_scenario(spec, np.random.default_rng(0))
+    if name == "D":
+        compiled = CompiledIntervalLine(ds)
+    else:
+        compiled = CompiledGaussianPlane(ds, spec.sigma_eta, spec.sigma_eps)
+    alpha = np.asarray(spec.alpha, dtype=float)
+    for _ in range(2):
+        compiled.evaluate(alpha)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(20):
+        compiled.evaluate(alpha + 1e-3 * i)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_closed_forms_do_not_fault_pages():
+    # the closed forms evaluate into (B, H, L) buffers each bucket keeps;
+    # fresh temporaries of 240 KB each cost about 400 (interval line, D R=3)
+    # and 140 (Gaussian, A R=3) minor faults per evaluation. A fresh
+    # interpreter, as in test_evaluate_does_not_fault_pages.
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(objective.__file__))}
+    probe = subprocess.run(
+        [sys.executable, "-c", _CLOSED_FORM_FAULT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    interval_faults, gauss_faults = map(int, probe.stdout.split())
+    assert interval_faults < 40
+    assert gauss_faults < 40
 
 
 def test_reused_buffers_leak_nothing_between_calls():

@@ -217,6 +217,22 @@ def test_objective_surface_validation():
         objective_surface(ds, LINE, GAUSS_LINE, icfg, (0, 0, 1, 3), (1, 0, 1, 3), [0.0])
 
 
+@pytest.mark.parametrize(
+    "axis1, axis2, fixed, message",
+    [
+        ((0, math.nan, 1, 3), (1, 0, 1, 3), [0.0, 0.0], "axis1"),
+        ((0, 0, 1, 3), (1, 0, math.inf, 3), [0.0, 0.0], "axis2"),
+        ((0, -math.inf, 1, 3), (1, 0, 1, 3), [0.0, 0.0], "axis1"),
+        ((0, 0, 1, 3), (1, 0, 1, 3), [0.0, math.nan], "fixed"),
+    ],
+)
+def test_objective_surface_rejects_non_finite_values(axis1, axis2, fixed, message):
+    # a non-finite bound or template value used to tabulate an all-NaN grid
+    ds = line_dataset(n=10)
+    with pytest.raises(ValueError, match=f"{message}.*finite"):
+        objective_surface(ds, LINE, GAUSS_LINE, IntegrationConfig(), axis1, axis2, fixed)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
