@@ -13,14 +13,7 @@ import math
 import numpy as np
 
 from .dataset import GroupedDataset, cross_pair_expansion, group_mean_pairs
-from .models import (
-    AFFINE_1D,
-    AFFINE_KD,
-    GENERIC,
-    POLYNOMIAL_1D,
-    ParametricModel,
-    model_eval_batch,
-)
+from .models import GENERIC, ParametricModel, model_eval_batch
 
 GROUP_MEAN = "group-mean"
 ALL_PAIRS = "all-pairs"
@@ -45,20 +38,11 @@ def ols_line(xs, ys) -> tuple:
     return float(a1), float(a2)
 
 
-def _design_matrix(model: ParametricModel, xs: np.ndarray) -> np.ndarray:
-    if model.family == AFFINE_1D:
-        return np.column_stack([np.ones(xs.shape[0]), xs[:, 0]])
-    if model.family == AFFINE_KD:
-        return np.column_stack([np.ones(xs.shape[0]), xs])
-    if model.family == POLYNOMIAL_1D:
-        return np.vander(xs[:, 0], model.param_dim, increasing=True)
-    raise ValueError(f"no linear design for family {model.family}")
-
-
 def ols_general(xs, ys, model: ParametricModel, opt_cfg=None):
     """Least-squares fit of any model family on paired arrays.
 
-    Families linear in alpha are solved directly; the generic family is
+    Families linear in alpha are solved directly, on the design whose column
+    j is the model at the j-th unit parameter vector; the generic family is
     minimized numerically from a zero start. ``objective_at_min`` is the
     residual sum of squares.
     """
@@ -85,7 +69,7 @@ def ols_general(xs, ys, model: ParametricModel, opt_cfg=None):
             return float(np.sum(r * r))
 
         return nelder_mead(ssr, np.zeros(model.param_dim), cfg)
-    design = _design_matrix(model, xs)
+    design = np.column_stack([model_eval_batch(model, e, xs) for e in np.eye(model.param_dim)])
     # lstsq's rank uses matrix_rank's threshold, eps * max(m, n) * s_max
     alpha, _, rank, _ = np.linalg.lstsq(design, ys[:, 0], rcond=None)
     if rank < design.shape[1]:

@@ -36,7 +36,7 @@ from .data_io import (
 )
 from .dataset import as_grouped, partition_by_key
 from .metrics import r_squared_delta
-from .models import AFFINE_1D, AFFINE_KD, ParametricModel
+from .models import AFFINE_KD, ParametricModel
 from .objective import MONTE_CARLO, QUADRATURE, IntegrationConfig
 from .optimize import (
     GAUSS_LINE,
@@ -106,7 +106,7 @@ def _resolve_objective(choice: str, model: ParametricModel, noise_kind: str) -> 
     model and the noise, or the general objective where none does."""
     if choice != "auto":
         return choice
-    if model.family not in (AFFINE_1D, AFFINE_KD):
+    if model.family != AFFINE_KD:
         return GENERAL
     if noise_kind == UNIFORM_NOISE:
         return INTERVAL_LINE
@@ -178,8 +178,7 @@ def _cmd_fit(args) -> int:
     else:
         grouped = as_grouped(train)
 
-    k = ingest.dataset.input_dim
-    model = ParametricModel.affine_1d() if k == 1 else ParametricModel.affine_kd(k)
+    model = ParametricModel.affine_kd(ingest.dataset.input_dim)
     # read_csv attaches Gaussian error densities
     objective = _resolve_objective(args.objective, model, GAUSSIAN_NOISE)
 

@@ -1,9 +1,10 @@
 """Parametric model families mapping latent inputs to noise-free outputs.
 
 A model is a pure function M(x; alpha) from R^k to R^m together with its
-parameter dimension. Four families: the 1-d affine line, the k-d affine
-hyperplane, the 1-d polynomial, and a generic family wrapping a
-user-supplied evaluation hook (the only way to get m > 1).
+parameter dimension. Three families: the k-d affine hyperplane (whose k = 1
+case, ``affine_kd(1)``, is the line), the 1-d polynomial, and a generic
+family wrapping a user-supplied evaluation hook (the only way to get m > 1).
+Every family but the generic one is linear in alpha.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-AFFINE_1D = "affine-1d"
 AFFINE_KD = "affine-kd"
 POLYNOMIAL_1D = "polynomial-1d"
 GENERIC = "generic"
@@ -30,16 +30,22 @@ class ParametricModel:
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1 or self.param_dim < 1:
             raise ValueError("model dimensions must be >= 1")
+        if self.family not in (AFFINE_KD, POLYNOMIAL_1D, GENERIC):
+            raise ValueError(f"unknown model family {self.family!r}")
         if self.family == GENERIC:
             if self.eval_hook is None:
                 raise ValueError("generic family requires an eval hook")
         elif self.output_dim != 1:
             raise ValueError(f"{self.family} family has a single output")
+        elif self.family == AFFINE_KD and self.param_dim != self.input_dim + 1:
+            raise ValueError("affine-kd family has input_dim + 1 parameters")
+        elif self.family == POLYNOMIAL_1D and self.input_dim != 1:
+            raise ValueError("polynomial-1d family has scalar inputs")
 
     @staticmethod
     def affine_1d() -> "ParametricModel":
-        """M(x) = alpha_1 + alpha_2 * x on scalar inputs."""
-        return ParametricModel(AFFINE_1D, 1, 1, 2)
+        """M(x) = alpha_1 + alpha_2 * x on scalar inputs: ``affine_kd(1)``."""
+        return ParametricModel.affine_kd(1)
 
     @staticmethod
     def affine_kd(k: int) -> "ParametricModel":
@@ -100,9 +106,7 @@ def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray, out=None) ->
     elif out.shape != (xs.shape[0], model.output_dim):
         raise ValueError(f"out has shape {out.shape}, expected ({xs.shape[0]}, {model.output_dim})")
     y = out[:, 0]
-    if model.family == AFFINE_1D:
-        np.add(np.multiply(xs[:, 0], alpha[1], out=y), alpha[0], out=y)
-    elif model.family == AFFINE_KD:
+    if model.family == AFFINE_KD:
         np.add(np.matmul(xs, alpha[1:], out=y), alpha[0], out=y)
     elif model.family == POLYNOMIAL_1D:
         # Horner's rule in place: polyval's products and sums, in its order

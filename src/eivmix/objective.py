@@ -522,7 +522,8 @@ class CompiledGaussianPlane:
     Exploits the Gaussian convolution identity: each input/output
     combination contributes a Gaussian in the combined residual with
     variance V = sum_n alpha_{n+1}^2 sigma_eta_n^2 + sigma_eps^2. Values
-    omit GAUSS_LOG_NORM_PER_GROUP per group (see module docstring).
+    omit GAUSS_LOG_NORM_PER_GROUP per group (see module docstring). Where V
+    overflows, every group's likelihood is zero and the value is +inf.
 
     Each bucket keeps one (B, H, L) buffer that every evaluation overwrites,
     so repeated evaluations neither allocate it nor page-fault. Results
@@ -539,10 +540,10 @@ class CompiledGaussianPlane:
             raise ValueError(
                 f"sigma_eta has shape {sigma_eta.shape}, expected ({ds.input_dim},)"
             )
-        if np.any(sigma_eta <= 0) or not sigma_eps > 0:
-            raise ValueError("sigmas must be > 0")
+        if not (np.all((sigma_eta > 0) & (sigma_eta < math.inf)) and 0 < sigma_eps < math.inf):
+            raise ValueError("sigmas must be finite and > 0")
         self.sigma_eta = sigma_eta
-        self.sigma_eps = float(sigma_eps)
+        self.sigma_eps = np.float64(sigma_eps)  # its square overflows to inf, not OverflowError
         self.n_groups = ds.n_groups
         self.buckets = []
         for rows, (x, _, _), (y, _, _) in _buckets(ds):
@@ -552,8 +553,13 @@ class CompiledGaussianPlane:
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = _check_alpha(self.sigma_eta.size + 1, alpha)
         slopes = alpha[1:]
-        v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
+        with np.errstate(over="ignore"):
+            v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
         per_group = np.empty(self.n_groups)
+        if v == math.inf:
+            # a density of infinite variance is zero everywhere
+            per_group.fill(-math.inf)
+            return ObjectiveValue.from_group_logs(per_group)
         for rows, x, y, log_hl, u in self.buckets:
             pred = alpha[0] + x @ slopes  # (B, H)
             # u = d^2 / (2V) is minus each combination's exponent; IEEE

@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import ALL_PAIRS, imputation_fit
 from .dataset import GroupedDataset
 from .densities import GAUSSIAN, KINDS, DensityParams
-from .models import AFFINE_1D, AFFINE_KD, ParametricModel
+from .models import AFFINE_KD, ParametricModel
 from .objective import (
     CompiledGaussianPlane,
     CompiledIntervalLine,
@@ -50,8 +50,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.initial_simplex_scale > 0:
-            raise ValueError("initial_simplex_scale must be > 0")
+        if not 0 < self.initial_simplex_scale < math.inf:
+            raise ValueError("initial_simplex_scale must be finite and > 0")
         if self.restarts < 0:
             raise ValueError("restarts must be >= 0")
 
@@ -155,29 +155,23 @@ def _build_objective(
     int_cfg: IntegrationConfig,
 ):
     """Compile the chosen objective, validating dataset/model compatibility."""
+    if objective_choice not in OBJECTIVE_CHOICES:
+        raise ValueError(
+            f"unknown objective choice {objective_choice!r}; "
+            f"expected one of {OBJECTIVE_CHOICES}"
+        )
     if objective_choice == GENERAL:
         return CompiledObjective(ds, model, int_cfg)
-    if objective_choice in (GAUSS_LINE, GAUSS_PLANE):
-        if model.family not in (AFFINE_1D, AFFINE_KD):
-            raise ValueError(
-                f"{objective_choice} objective requires an affine model, "
-                f"got {model.family}"
-            )
-        if objective_choice == GAUSS_LINE and ds.input_dim != 1:
-            raise ValueError("gauss-line objective requires scalar inputs")
-        eta, eps = shared_gaussian_scales(ds)
-        return CompiledGaussianPlane(ds, eta, float(eps[0]))
+    if model.family != AFFINE_KD:
+        raise ValueError(
+            f"{objective_choice} objective requires an affine model, got {model.family}"
+        )
+    if objective_choice != GAUSS_PLANE and model.input_dim != 1:
+        raise ValueError(f"{objective_choice} objective requires scalar inputs")
     if objective_choice == INTERVAL_LINE:
-        if model.family != AFFINE_1D:
-            raise ValueError(
-                f"interval-line objective requires the affine-1d model, "
-                f"got {model.family}"
-            )
         return CompiledIntervalLine(ds)
-    raise ValueError(
-        f"unknown objective choice {objective_choice!r}; "
-        f"expected one of {OBJECTIVE_CHOICES}"
-    )
+    eta, eps = shared_gaussian_scales(ds)
+    return CompiledGaussianPlane(ds, eta, float(eps[0]))
 
 
 def fit(

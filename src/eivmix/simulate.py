@@ -131,8 +131,6 @@ def scenario_model(spec: ScenarioSpec) -> ParametricModel:
     """The model family a scenario's truth lives in."""
     if spec.name == "cubic":
         return ParametricModel.polynomial_1d(3)
-    if spec.input_dim == 1:
-        return ParametricModel.affine_1d()
     return ParametricModel.affine_kd(spec.input_dim)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import integrated_deming_penalty
 
@@ -19,6 +21,7 @@ from eivmix import (
     ols_general,
     ols_line,
 )
+from eivmix.models import AFFINE_KD, model_eval_batch
 
 G1 = ErrorDensity.gaussian(1.0)
 LINE = ParametricModel.affine_1d()
@@ -65,6 +68,38 @@ def test_ols_general_plane():
     ys = alpha[0] + xs @ alpha[1:]
     res = ols_general(xs, ys[:, None], ParametricModel.affine_kd(3))
     np.testing.assert_allclose(res.alpha_hat, alpha, atol=1e-12)
+
+
+def _reference_design(model, xs):
+    # the least-squares designs as first written, one formula per family
+    if model.family == AFFINE_KD:
+        return np.column_stack([np.ones(xs.shape[0]), xs])
+    return np.vander(xs[:, 0], model.param_dim, increasing=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ols_design_is_the_model_at_unit_vectors(data):
+    # ols_general solves on the design whose column j is the model at the
+    # j-th unit parameter vector; for every family linear in alpha that is
+    # the family's textbook design, bit for bit up to the sign of zero
+    model = data.draw(st.one_of(
+        st.builds(ParametricModel.affine_kd, st.integers(1, 4)),
+        st.builds(ParametricModel.polynomial_1d, st.integers(0, 5)),
+    ))
+    n = data.draw(st.integers(1, 30))
+    finite = st.floats(-1e3, 1e3)
+    xs = np.array(data.draw(st.lists(finite, min_size=n * model.input_dim,
+                                     max_size=n * model.input_dim))).reshape(n, model.input_dim)
+    design = np.column_stack([model_eval_batch(model, e, xs) for e in np.eye(model.param_dim)])
+    want = _reference_design(model, xs)
+    # adding +0.0 turns -0.0 into +0.0 and leaves every other value's bits
+    assert (design + 0.0).tobytes() == (want + 0.0).tobytes()
+    ys = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    want_alpha, _, rank, _ = np.linalg.lstsq(want, ys, rcond=None)
+    if rank == model.param_dim:
+        got = ols_general(xs, ys, model).alpha_hat
+        assert got.tobytes() == want_alpha.tobytes()
 
 
 def test_ols_general_rank_deficient():

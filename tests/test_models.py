@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eivmix import ParametricModel
-from eivmix.models import POLYNOMIAL_1D, model_eval, model_eval_batch
+from eivmix.models import AFFINE_KD, POLYNOMIAL_1D, model_eval, model_eval_batch
 
 
 def test_affine_1d():
     m = ParametricModel.affine_1d()
-    assert (m.input_dim, m.output_dim, m.param_dim) == (1, 1, 2)
+    assert (m.family, m.input_dim, m.output_dim, m.param_dim) == (AFFINE_KD, 1, 1, 2)
     assert model_eval(m, [1.0, 2.0], [3.0]) == pytest.approx(7.0)
     out = model_eval_batch(m, [1.0, 2.0], np.array([[0.0], [1.0], [-2.0]]))
     np.testing.assert_allclose(out, [[1.0], [3.0], [-3.0]])
@@ -67,7 +67,17 @@ def test_validation():
     with pytest.raises(ValueError):
         ParametricModel.polynomial_1d(-1)
     with pytest.raises(ValueError):
-        ParametricModel("affine-1d", 1, 2, 2)  # multi-output without hook
+        ParametricModel(AFFINE_KD, 1, 2, 2)  # multi-output without hook
+
+
+@pytest.mark.parametrize("family, k, p, message", [
+    ("bogus", 1, 2, "unknown model family"),
+    (AFFINE_KD, 2, 2, "input_dim \\+ 1 parameters"),
+    (POLYNOMIAL_1D, 2, 3, "scalar inputs"),
+])
+def test_rejects_models_its_evaluator_cannot_honour(family, k, p, message):
+    with pytest.raises(ValueError, match=message):
+        ParametricModel(family, k, 1, p)
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)

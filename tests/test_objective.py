@@ -746,6 +746,20 @@ def test_underflow_gives_inf_not_nan():
     assert "underflow in groups [0]" in got.note
 
 
+def test_gaussian_variance_overflow_gives_inf_not_nan():
+    # V = alpha_2^2 sigma_eta^2 + sigma_eps^2 overflows at this slope; the
+    # interval form is +inf there too
+    ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
+    got = nll_gaussian_line(ds, 0.3, 0.3, [0.0, 1e200])
+    assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
+    assert np.all(got.per_group_log == -math.inf)
+    for eta, eps in ((1e200, 1.0), (1.0, 1e200)):
+        assert nll_gaussian_hyperplane(ds, [eta], eps, [0.0, 1.0]).value == math.inf
+    for eta, eps in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            CompiledGaussianPlane(ds, [eta], eps)
+
+
 def _from_group_logs_reference(per_group_log):
     # the decomposition as first written: scan for -inf, then sum
     if np.any(np.isneginf(per_group_log)):

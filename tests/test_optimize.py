@@ -17,7 +17,9 @@ from eivmix import (
     as_grouped,
     fit,
     fit_extended,
+    generate_scenario,
     objective_surface,
+    scenario_spec,
 )
 from eivmix.optimize import nelder_mead
 
@@ -144,6 +146,18 @@ def test_fit_objective_validation():
         fit(ds2, ParametricModel.affine_kd(2), GAUSS_LINE, IntegrationConfig(), OptimizerConfig())
 
 
+def test_interval_line_fits_any_one_input_affine_model():
+    spec = scenario_spec("D", R=3)
+    ds = generate_scenario(spec, np.random.default_rng(5))
+    got = fit(ds, ParametricModel.affine_kd(1), INTERVAL_LINE, IntegrationConfig(), OptimizerConfig())
+    want = fit(ds, LINE, INTERVAL_LINE, IntegrationConfig(), OptimizerConfig())
+    assert got.alpha_hat.tobytes() == want.alpha_hat.tobytes()
+    assert (got.objective_at_min, got.iterations, got.converged) == (
+        want.objective_at_min, want.iterations, want.converged)
+    with pytest.raises(ValueError, match="scalar inputs"):
+        fit(ds, ParametricModel.affine_kd(2), INTERVAL_LINE, IntegrationConfig(), OptimizerConfig())
+
+
 def test_fit_extended_recovers_output_scale():
     # data generated with sigma_eps = 0.3; input scale pinned at truth
     rng = np.random.default_rng(17)
@@ -240,3 +254,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=-1)
     with pytest.raises(ValueError):
         OptimizerConfig(initial_simplex_scale=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial_simplex_scale"):
+            OptimizerConfig(initial_simplex_scale=bad)

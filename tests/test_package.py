@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import re
+import warnings
 
 import eivmix
 
@@ -51,10 +52,14 @@ def test_star_import():
     assert set(eivmix.__all__) <= set(namespace)
 
 
-def _readme_imports():
+def _readme_blocks():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert blocks
-    for block in blocks:
+    return blocks
+
+
+def _readme_imports():
+    for block in _readme_blocks():
         for node in ast.walk(ast.parse(block)):
             if isinstance(node, ast.ImportFrom) and node.module.startswith("eivmix"):
                 yield node.module, [alias.name for alias in node.names]
@@ -69,6 +74,15 @@ def test_readme_imports_resolve():
         else:
             owner = importlib.import_module(module)
             assert all(hasattr(owner, name) for name in names), (module, names)
+
+
+def test_readme_examples_run():
+    # the blocks build on each other: run them in order in one namespace
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in _readme_blocks():
+            exec(compile(block, str(README), "exec"), namespace)
 
 
 def test_module_only_names():
