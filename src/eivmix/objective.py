@@ -34,6 +34,7 @@ closed form keeps full normalization and matches ``nll_general`` exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +61,9 @@ _MAX_DATASET_GRID_POINTS = 1 << 23
 #: keeps one block of the mixture in cache instead of materializing it over
 #: every node at once. Results do not depend on it.
 _BLOCK = 1 << 16
+
+#: Groups an underflow note names before it counts the rest.
+_NOTE_GROUPS = 10
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ class ObjectiveValue:
 
     ``value`` is exactly minus the sum of ``per_group_log``. A group whose
     likelihood underflows to zero contributes -inf and pushes the value to
-    +inf (never NaN); ``note`` then names the offending groups.
+    +inf (never NaN); ``note`` then names the offending groups: the first
+    ten of them and a count of the rest.
     """
 
     value: float
@@ -118,34 +123,70 @@ class ObjectiveValue:
         if not math.isfinite(value):
             bad = np.flatnonzero(np.isneginf(per_group_log))
             if bad.size:
-                note = "likelihood underflow in groups " + str(bad.tolist())
+                note = "likelihood underflow in groups " + str(bad[:_NOTE_GROUPS].tolist())
+                if bad.size > _NOTE_GROUPS:
+                    note += f" and {bad.size - _NOTE_GROUPS} more"
                 value = math.inf
         per_group_log.flags.writeable = False
         return ObjectiveValue(value, per_group_log, note)
 
 
-def _pdf_norm(scale: np.ndarray, kind: str) -> np.ndarray:
-    """The normaliser of _pdf_product: prod over the last axis of sqrt(2 pi)
-    times the scale (Gaussian) or of twice the half-width (uniform)."""
-    return np.prod(scale * (_SQRT_2PI if kind == GAUSSIAN else 2.0), axis=-1)
+def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple:
+    """The alpha-invariant constants of one kind's component densities.
 
-
-def _pdf_product(z: np.ndarray, scale: np.ndarray, kind: str, out=None, norm=None) -> np.ndarray:
-    """Product density over the last axis; z and scale broadcast together.
-
-    Overwrites z, so that no temporary of its size is allocated. The result
-    goes to ``out`` when it is given. ``norm``, when given, is
-    _pdf_norm(scale, kind), computed once by a caller that reuses it.
+    centers and scales have shape (B, C, d). Returns (planes, inv_norm):
+    planes holds one (origin, scale, center) triple per coordinate, and
+    inv_norm (B, C) is one over each component's normaliser, the product
+    over coordinates of sqrt(2 pi) sigma (Gaussian) or of twice the
+    half-width (uniform). The origin is each group's first center, (B, 1, 1).
+    A Gaussian plane holds 1/(sqrt(2) sigma) and the center measured from
+    the origin and pre-scaled by it: measured from the origin, the scaled
+    difference rounds at the size of the group's spread, not of the data's
+    distance from zero. A uniform plane holds the half-width and the center.
+    Scales and centers have shape (B, C, 1), but where every component of a
+    group shares a coordinate's scale, that scale collapses to (B, 1, 1), so
+    ``_kernel`` scales each node once instead of once per component.
     """
-    if kind == GAUSSIAN:
-        q = np.square(np.divide(z, scale, out=z), out=z).sum(axis=-1, out=out)
-        np.exp(np.multiply(q, -0.5, out=q), out=q)
-    else:
-        # 1.0 where a coordinate lies inside its box, else 0.0: the minimum
-        # over the coordinates is the indicator of the box
-        inside = np.less_equal(np.abs(z, out=z), scale, out=z)
-        q = np.minimum.reduce(inside, axis=-1, out=out)
-    return np.divide(q, _pdf_norm(scale, kind) if norm is None else norm, out=q)
+    gaussian = kind == GAUSSIAN
+    inv_norm = 1.0 / np.prod(scales * (_SQRT_2PI if gaussian else 2.0), axis=-1)
+    planes = []
+    for j in range(centers.shape[2]):
+        s, c = scales[:, :, j, None], centers[:, :, j, None]
+        o = c[:, :1]
+        if gaussian:
+            s = 1.0 / (math.sqrt(2.0) * s)
+            c = (c - o) * s
+        if np.all(s == s[:, :1]):
+            s = s[:, :1]
+        planes.append((np.ascontiguousarray(o), np.ascontiguousarray(s), np.ascontiguousarray(c)))
+    return planes, inv_norm
+
+
+def _kernel(kind: str, planes: list, coords: list, out, tmp, node) -> np.ndarray:
+    """Every component's density times its normaliser at every node, in out.
+
+    planes comes from _kind_constants and coords holds one (B, 1, m) array of
+    node coordinates per plane. out and tmp are (B, C, m) buffers (tmp is
+    used only from the second coordinate on) and node a (B, 1, m) buffer. A
+    Gaussian term is exp(-sum_j (center_j - scale_j (p_j - origin_j))^2), a
+    uniform term 1.0 where every |center_j - p_j| <= h_j and 0.0 elsewhere.
+    Coordinates are combined plane by plane, so no temporary has a
+    coordinate axis.
+    """
+    gaussian = kind == GAUSSIAN
+    for j, ((o, s, c), p) in enumerate(zip(planes, coords)):
+        z = tmp if j else out
+        if gaussian:
+            # a collapsed scale scales each node once, not once per component
+            sp = np.multiply(np.subtract(p, o, out=node), s, out=node if s.shape[1] == 1 else z)
+            np.square(np.subtract(c, sp, out=z), out=z)
+        else:
+            np.less_equal(np.abs(np.subtract(c, p, out=z), out=z), s, out=z)
+        if j:
+            (np.add if gaussian else np.multiply)(out, z, out=out)
+    if gaussian:
+        np.exp(np.negative(out, out=out), out=out)
+    return out
 
 
 def _kind_columns(kinds) -> list:
@@ -163,56 +204,60 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
 
     centers and scales have shape (B, C, d), parts comes from _kind_columns
     and pts has shape (B, n, d); returns (B, n). All components of one kind
-    are evaluated together. Point-mass components are never listed: they
-    enter through the sifting nodes, not as a numeric density.
+    are evaluated together by ``_kernel`` from the constants of
+    ``_kind_constants``, whose scale has one entry per group where the
+    group's components share it, and one einsum per kind applies the
+    normalisers, adding each node's components in order. Point-mass
+    components are never listed: they enter through the sifting nodes, not
+    as a numeric density.
 
     The node axis is processed in blocks of about _BLOCK doubles per
-    (B, C, nb, d) temporary. A block is never one node wide unless n is 1:
-    numpy can sum a lone node's components pairwise rather than in order,
-    so this keeps every node's sum bit-identical to the unblocked one.
+    (B, C, nb) temporary. A block is never one node wide unless n is 1:
+    einsum can sum a lone node's components in another order, so this
+    keeps every node's sum bit-identical to the unblocked one.
 
     ``ws``, a dict, keeps the output, the block temporaries and each kind's
-    centers, scales and normaliser from one call to the next, so that calls
-    with the same centers, parts and shapes allocate nothing. Its buffers
-    are made on the first call and its per-kind arrays again whenever
-    ``scales`` is another array. The result is then ws's own buffer, which
-    the next call overwrites. Without ws every call allocates afresh. A
-    caller may keep its own entries in ws under other keys, as
-    ``CompiledObjective.evaluate`` keeps the model values under "vals".
+    compiled constants from one call to the next, so that calls with the
+    same centers, parts and shapes allocate nothing. Its buffers are made
+    on the first call and its constants again whenever ``scales`` is
+    another array. The result is ws's own buffer, which the next call
+    overwrites. Without ws every call allocates afresh. A caller may keep
+    its own entries in ws under other keys, as ``CompiledObjective.evaluate``
+    keeps the model values under "vals".
     """
     B, C, d = centers.shape
     n = pts.shape[1]
-    nb = max(2, _BLOCK // (B * C * d))
+    nb = max(2, _BLOCK // (B * C))
     if ws is None:
         ws = {}
     if "out" not in ws:
         w = min(n, nb + 1)  # the widest block
-        ws.update(out=np.empty((B, n)), z=np.empty(B * C * w * d), q=np.empty(B * C * w), term=np.empty(B * w))
+        ws.update(
+            out=np.empty((B, n)), acc=np.empty(B * C * w), tmp=np.empty(B * C * w * (d > 1)),
+            node=np.empty(B * w), term=np.empty(B * w),
+        )
     if ws.get("scales") is not scales:
         ws["scales"] = scales
-        ws["kinds"] = []
-        for kind, cols in parts:
-            s = scales[:, cols, None, :]
-            ws["kinds"].append((kind, centers[:, cols, None, :], s, _pdf_norm(s, kind)))
+        ws["kinds"] = [(kind, *_kind_constants(kind, centers[:, cols], scales[:, cols])) for kind, cols in parts]
     out = ws["out"]
     lo = 0
     while lo < n:
         hi = min(n, lo + nb)
         if n - hi == 1:
             hi = n
-        block = pts[:, None, lo:hi, :]
         m = hi - lo
-        for i, (kind, c, s, norm) in enumerate(ws["kinds"]):
-            # contiguous (B, Cc, m, d) and (B, Cc, m) views of the buffers:
-            # the layout of fresh arrays, so the sums add in the same order
-            size = B * c.shape[1] * m
-            z = np.subtract(c, block, out=ws["z"][: size * d].reshape(B, -1, m, d))
-            q = _pdf_product(z, s, kind, ws["q"][:size].reshape(B, -1, m), norm)
-            term = q.sum(axis=1, out=ws["term"][: B * m].reshape(B, m))
+        coords = [pts[:, None, lo:hi, j] for j in range(d)]
+        node = ws["node"][: B * m].reshape(B, 1, m)
+        for i, (kind, planes, inv_norm) in enumerate(ws["kinds"]):
+            # contiguous (B, Cc, m) views of the buffers
+            size = B * inv_norm.shape[1] * m
+            acc = ws["acc"][:size].reshape(B, -1, m)
+            tmp = ws["tmp"][:size].reshape(B, -1, m) if d > 1 else None
+            terms = _kernel(kind, planes, coords, acc, tmp, node)
             if i:
-                out[:, lo:hi] += term
+                out[:, lo:hi] += np.einsum("bcn,bc->bn", terms, inv_norm, out=ws["term"][: B * m].reshape(B, m))
             else:
-                out[:, lo:hi] = term
+                np.einsum("bcn,bc->bn", terms, inv_norm, out=out[:, lo:hi])
         lo = hi
     return out
 
@@ -227,8 +272,11 @@ def _grid_mixture(centers, scales, parts, lin, grid_index) -> np.ndarray:
 
     A product density on a tensor grid factors into per-axis tables
     f_cd(lin[:, :, d]) of shape (C, g) (Wand, JCGS 3, 1994), so the sum is
-    sum_c prod_d f_cd: g*k densities per component instead of g**k. Groups
-    are batched so that their k tables fit in about _BLOCK doubles.
+    sum_c prod_d f_cd: g*k densities per component instead of g**k. Each
+    table comes from the same ``_kernel`` and compiled constants as
+    ``_mixture_sum``, one coordinate at a time; the whole normaliser goes on
+    the last axis's table. Groups are batched so that their k tables fit in
+    about _BLOCK doubles.
     """
     B, g, k = lin.shape
     lines = grid_index[::g, :-1]  # leading-axis indices of each grid line
@@ -253,11 +301,15 @@ def _add_grid_products(centers, scales, kind, lin, lines, out) -> None:
     components in order, so the result depends neither on _BLOCK nor on the
     BLAS thread count.
     """
+    planes, inv_norm = _kind_constants(kind, centers, scales)
+    B, C, k = centers.shape
+    g = lin.shape[1]
+    node = np.empty((B, 1, g))
     tables = [
-        _pdf_product((centers[:, :, None, d] - lin[:, None, :, d])[..., None], scales[:, :, None, d, None], kind)
-        for d in range(lin.shape[2])
-    ]  # (B, C, g) each
-    B, C, g = tables[0].shape
+        _kernel(kind, [plane], [lin[:, None, :, d]], np.empty((B, C, g)), None, node)
+        for d, plane in enumerate(planes)
+    ]
+    tables[-1] *= inv_norm[:, :, None]
     m = max(1, _BLOCK // (B * max(C, g)))
     for lo in range(0, len(lines), m):
         block = lines[lo : lo + m]
@@ -289,6 +341,15 @@ def _buckets(ds: GroupedDataset) -> list:
          _gather(ds.outputs, ds.output_scales, ds.output_kinds, ds.output_offsets, rows))
         for rows in map(np.asarray, keyed.values())
     ]
+
+
+def _check_model_dims(ds: GroupedDataset, model: ParametricModel) -> None:
+    """Raise unless the model maps the dataset's input space to its output space."""
+    if model.input_dim != ds.input_dim or model.output_dim != ds.output_dim:
+        raise ValueError(
+            f"model maps R^{model.input_dim} -> R^{model.output_dim}, "
+            f"dataset has input_dim={ds.input_dim}, output_dim={ds.output_dim}"
+        )
 
 
 def _group_of(offsets, row) -> int:
@@ -342,22 +403,25 @@ class CompiledObjective:
     ``fit_extended``. Monte Carlo keeps only its nodes and redraws them from
     the same seeds for such an override.
 
+    The output mixture's alpha-invariant constants are compiled once per
+    density kind (``_kind_constants``), so a Gaussian term costs a subtract,
+    a square, a negate and an exp. Where a group's output components share
+    one scale, as in every simulated scenario and the bundled table, that
+    scale is stored once per group and each node is scaled once, not once
+    per component. ``_grid_mixture``'s input tables use the same kernel.
+
     Evaluations reuse per-bucket buffers: the model values, the output
-    mixture's block temporaries and its result, and the likelihood terms.
-    The first ``evaluate`` makes them, sized from each bucket's shapes, and
-    they live as long as the compiled objective, so repeated evaluations
-    neither allocate nor page-fault. Results never alias them: each
-    ``ObjectiveValue`` owns its ``per_group_log``. Because the buffers are
-    shared, one compiled objective must not be evaluated from two threads at
-    once.
+    mixture's block temporaries, its result and its constants. The first
+    ``evaluate`` makes them, sized from each bucket's shapes (the constants
+    again for each ``output_scales`` override), and they live as long as
+    the compiled objective, so repeated evaluations neither allocate nor
+    page-fault. Results never alias them: each ``ObjectiveValue`` owns its
+    ``per_group_log``. Because the buffers are shared, one compiled
+    objective must not be evaluated from two threads at once.
     """
 
     def __init__(self, ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig):
-        if model.input_dim != ds.input_dim or model.output_dim != ds.output_dim:
-            raise ValueError(
-                f"model maps R^{model.input_dim} -> R^{model.output_dim}, "
-                f"dataset has input_dim={ds.input_dim}, output_dim={ds.output_dim}"
-            )
+        _check_model_dims(ds, model)
         pm_rows = np.flatnonzero(ds.output_kinds == KINDS.index(POINT_MASS))
         if pm_rows.size:
             raise ValueError(
@@ -411,8 +475,9 @@ class CompiledObjective:
     def _nodes(self, b: _Bucket, xscale) -> list:
         """(points (B, n, k), weights) pairs integrating against f_in.
 
-        The weights broadcast against (B, n). Point-mass inputs never reach
-        numeric evaluation: they are nodes at their centers (sifting).
+        The weights are arrays that broadcast against (B, n). Point-mass
+        inputs never reach numeric evaluation: they are nodes at their
+        centers (sifting).
         """
         B, H, k = b.x.shape
         if self.cfg.method == MONTE_CARLO:
@@ -428,7 +493,7 @@ class CompiledObjective:
                 zn = rng.standard_normal((P, k))
                 zu = rng.uniform(-1.0, 1.0, (P, k))
                 pts[j] = b.x[j, comp] - xscale[j, comp] * np.where(gaussian[comp][:, None], zn, zu)
-            return [(pts, 1.0 / P)]
+            return [(pts, np.full((1, 1), 1.0 / P))]
         nodes = []
         if b.cont_cols:
             g = self.cfg.points_for_dim(k)
@@ -448,7 +513,7 @@ class CompiledObjective:
             w *= fx
             nodes.append((lin[:, gi, np.arange(k)], w))  # points (B, g^k, k)
         if b.pm_cols:
-            nodes.append((b.x[:, b.pm_cols, :], 1.0 / H))
+            nodes.append((b.x[:, b.pm_cols, :], np.full((1, 1), 1.0 / H)))
         return nodes
 
     def evaluate(self, alpha, input_scales=None, output_scales=None) -> ObjectiveValue:
@@ -466,11 +531,11 @@ class CompiledObjective:
                 B, n, k = pts.shape
                 ws["vals"] = vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k), ws.get("vals"))
                 fy = _mixture_sum(b.y, yscale, b.out_parts, vals.reshape(B, n, -1), ws)
-                # the likelihood terms fy / L * w overwrite fy, a buffer of ws
-                np.multiply(np.divide(fy, b.y.shape[1], out=fy), w, out=fy)
-                lik = lik + np.sum(fy, axis=1)
+                # sum_i w_i f_out(s_i) per group, off BLAS; the mixture's
+                # 1/L is applied once per group, not once per node
+                lik = lik + np.einsum("bn,bn->b", fy, w)
             with np.errstate(divide="ignore"):
-                per_group[b.idx] = np.log(lik)
+                per_group[b.idx] = np.log(lik / b.y.shape[1])
         return ObjectiveValue.from_group_logs(per_group)
 
     def __call__(self, alpha) -> float:
@@ -553,25 +618,31 @@ class CompiledGaussianPlane:
     def evaluate(self, alpha) -> ObjectiveValue:
         alpha = _check_alpha(self.sigma_eta.size + 1, alpha)
         slopes = alpha[1:]
-        with np.errstate(over="ignore"):
-            v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
         per_group = np.empty(self.n_groups)
-        if v == math.inf:
-            # a density of infinite variance is zero everywhere
-            per_group.fill(-math.inf)
-            return ObjectiveValue.from_group_logs(per_group)
-        for rows, x, y, log_hl, u in self.buckets:
-            pred = alpha[0] + x @ slopes  # (B, H)
-            # u = d^2 / (2V) is minus each combination's exponent; IEEE
-            # negation and division commute exactly, so umin - u is bit for
-            # bit the e - max(e) of e = -d^2 / (2V). log - umin rather than
-            # -umin + log keeps the sign bit of a NaN result as well
-            np.subtract(pred[:, :, None], y[:, None, :], out=u)
-            np.divide(np.square(u, out=u), 2.0 * v, out=u)
-            umin = u.min(axis=(1, 2))
-            total = np.exp(np.subtract(umin[:, None, None], u, out=u), out=u).sum(axis=(1, 2))
-            lse = np.log(total) - umin
-            per_group[rows] = lse - log_hl - 0.5 * math.log(v)
+        # V and the squared residuals may overflow to inf, and a likelihood
+        # of zero gives log 0 = -inf
+        with np.errstate(over="ignore", divide="ignore"):
+            v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
+            if v == math.inf:
+                # a density of infinite variance is zero everywhere
+                per_group.fill(-math.inf)
+                return ObjectiveValue.from_group_logs(per_group)
+            for rows, x, y, log_hl, u in self.buckets:
+                pred = alpha[0] + x @ slopes  # (B, H)
+                # u = d^2 / (2V) is minus each combination's exponent; IEEE
+                # negation and division commute exactly, so umin - u is bit
+                # for bit the e - max(e) of e = -d^2 / (2V). log - umin rather
+                # than -umin + log keeps the sign bit of a NaN result as well
+                np.subtract(pred[:, :, None], y[:, None, :], out=u)
+                np.divide(np.square(u, out=u), 2.0 * v, out=u)
+                umin = u.min(axis=(1, 2))
+                # where every u of a group is inf its likelihood is zero: a
+                # shift by the largest double, not by inf, makes each term
+                # exp(-inf) = 0 instead of exp(inf - inf) = NaN
+                shift = np.minimum(umin, sys.float_info.max)
+                total = np.exp(np.subtract(shift[:, None, None], u, out=u), out=u).sum(axis=(1, 2))
+                lse = np.log(total) - umin
+                per_group[rows] = lse - log_hl - 0.5 * math.log(v)
         return ObjectiveValue.from_group_logs(per_group)
 
     def __call__(self, alpha) -> float:

@@ -25,6 +25,7 @@ from .objective import (
     CompiledIntervalLine,
     CompiledObjective,
     IntegrationConfig,
+    _check_model_dims,
     shared_gaussian_scales,
 )
 
@@ -168,6 +169,7 @@ def _build_objective(
         )
     if objective_choice != GAUSS_PLANE and model.input_dim != 1:
         raise ValueError(f"{objective_choice} objective requires scalar inputs")
+    _check_model_dims(ds, model)
     if objective_choice == INTERVAL_LINE:
         return CompiledIntervalLine(ds)
     eta, eps = shared_gaussian_scales(ds)

@@ -610,6 +610,36 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+_BLAS_PROBE = """
+import numpy as np
+from eivmix import IntegrationConfig, generate_scenario, scenario_spec
+from eivmix.objective import CompiledObjective
+from eivmix.simulate import scenario_model
+
+logs = []
+for name, R in (("cubic", 200), ("plane", 4)):
+    spec = scenario_spec(name, R=R)
+    ds = generate_scenario(spec, np.random.default_rng(0))
+    compiled = CompiledObjective(ds, scenario_model(spec), IntegrationConfig())
+    logs.append(compiled.evaluate(np.asarray(spec.alpha, dtype=float) + 0.05).per_group_log)
+print(np.concatenate(logs).tobytes().hex())
+"""
+
+
+def test_evaluate_does_not_depend_on_blas_threads():
+    # every contraction of the general objective is an einsum, not a BLAS
+    # call, so its values are the same bytes at one and at two BLAS threads.
+    # The thread count is read when numpy loads: one fresh interpreter each
+    root = os.path.dirname(os.path.dirname(objective.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        probe = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True)
+        outputs.append(probe.stdout)
+    assert len(outputs[0]) == 2 * 8 * 204 + 1
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_does_not_fault_pages():
     # evaluations reuse each bucket's buffers; fresh temporaries of about
     # 320 KB per bucket were returned to the OS and faulted in again on every
@@ -747,12 +777,14 @@ def test_underflow_gives_inf_not_nan():
 
 
 def test_gaussian_variance_overflow_gives_inf_not_nan():
-    # V = alpha_2^2 sigma_eta^2 + sigma_eps^2 overflows at this slope; the
-    # interval form is +inf there too
+    # V = alpha_2^2 sigma_eta^2 + sigma_eps^2 overflows at the slope 1e200;
+    # at the other points V is finite but every squared residual is inf,
+    # which used to give inf - inf = NaN. The interval form is +inf there too
     ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
-    got = nll_gaussian_line(ds, 0.3, 0.3, [0.0, 1e200])
-    assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
-    assert np.all(got.per_group_log == -math.inf)
+    for alpha in ([0.0, 1e200], [1e300, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
+        got = nll_gaussian_line(ds, 0.3, 0.3, alpha)
+        assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
+        assert np.all(got.per_group_log == -math.inf)
     for eta, eps in ((1e200, 1.0), (1.0, 1e200)):
         assert nll_gaussian_hyperplane(ds, [eta], eps, [0.0, 1.0]).value == math.inf
     for eta, eps in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
@@ -761,11 +793,24 @@ def test_gaussian_variance_overflow_gives_inf_not_nan():
 
 
 def _from_group_logs_reference(per_group_log):
-    # the decomposition as first written: scan for -inf, then sum
+    # the decomposition as first written: scan for -inf, then sum; the note
+    # names the first ten such groups and counts the rest
     if np.any(np.isneginf(per_group_log)):
-        bad = np.flatnonzero(np.isneginf(per_group_log))
-        return math.inf, "likelihood underflow in groups " + str(bad.tolist())
+        bad = np.flatnonzero(np.isneginf(per_group_log)).tolist()
+        note = "likelihood underflow in groups " + str(bad[:10])
+        if len(bad) > 10:
+            note += f" and {len(bad) - 10} more"
+        return math.inf, note
     return float(-per_group_log.sum()), None
+
+
+def test_underflow_note_is_bounded():
+    # every one of 300 groups underflows here; the note used to list all of
+    # them, 1421 characters
+    ds = generate_scenario(scenario_spec("A", R=300), np.random.default_rng(0))
+    got = nll_general(ds, LINE, IntegrationConfig(), [10.0, 0.5])
+    assert got.value == math.inf
+    assert got.note == "likelihood underflow in groups [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] and 290 more"
 
 
 @settings(max_examples=100, deadline=None)

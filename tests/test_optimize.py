@@ -146,6 +146,15 @@ def test_fit_objective_validation():
         fit(ds2, ParametricModel.affine_kd(2), GAUSS_LINE, IntegrationConfig(), OptimizerConfig())
 
 
+@pytest.mark.parametrize("choice", [GENERAL, GAUSS_LINE, GAUSS_PLANE, INTERVAL_LINE])
+def test_every_objective_checks_model_dimensions_at_compile(choice):
+    # a line on two-input data used to compile under the Gaussian closed
+    # forms and fail only at the first evaluation, on the length of alpha
+    ds = generate_scenario(scenario_spec("plane", R=4), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"model maps R\^1 -> R\^1, dataset has input_dim=2"):
+        objective_surface(ds, LINE, choice, IntegrationConfig(), (0, -1.0, 1.0, 2), (1, -1.0, 1.0, 2), [0.0, 0.0])
+
+
 def test_interval_line_fits_any_one_input_affine_model():
     spec = scenario_spec("D", R=3)
     ds = generate_scenario(spec, np.random.default_rng(5))
