@@ -44,7 +44,6 @@ from .objective import (
     ObjectiveValue,
     likelihood_interval_line,
     nll_gaussian_hyperplane,
-    nll_gaussian_line,
     nll_general,
 )
 from .optimize import (
@@ -112,7 +111,6 @@ __all__ = [
     "imputation_fit",
     "likelihood_interval_line",
     "nll_gaussian_hyperplane",
-    "nll_gaussian_line",
     "nll_general",
     "objective_surface",
     "ols_general",

@@ -126,7 +126,9 @@ def _add_common_numeric(p: argparse.ArgumentParser) -> None:
         "--objective",
         choices=["auto"] + list(OBJECTIVE_CHOICES),
         default="auto",
-        help="objective variant (default: the one matching the data or scenario)",
+        help="objective variant (default: the one matching the data or scenario); "
+        "gauss-line and gauss-plane values omit 1/2 log(2 pi) ~ 0.9189 per group "
+        "relative to general and interval-line",
     )
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument(

@@ -21,8 +21,6 @@ POINT_MASS = "point-mass"
 #: Every density kind; a kind's position here is its code in GroupedDataset.
 KINDS = (GAUSSIAN, UNIFORM, POINT_MASS)
 
-_SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-
 
 @dataclass(frozen=True, eq=False)
 class ErrorDensity:
@@ -71,31 +69,6 @@ class ErrorDensity:
     @staticmethod
     def point_mass(dim: int) -> "ErrorDensity":
         return ErrorDensity(POINT_MASS, np.empty(0), dim)
-
-
-def density_eval(density: ErrorDensity, s) -> float:
-    """Evaluate the density at a point ``s`` of matching dimension.
-
-    Point masses have no numeric density; asking for one is a usage error
-    (callers must take the sifting path instead).
-    """
-    if density.kind == POINT_MASS:
-        raise ValueError(
-            "point-mass density has no numeric value; "
-            "use the sifting reduction instead"
-        )
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.shape != (density.dim,):
-        raise ValueError(f"point has shape {s.shape}, expected ({density.dim},)")
-    if density.kind == GAUSSIAN:
-        z = s / density.scale
-        return float(
-            np.exp(-0.5 * np.dot(z, z)) / np.prod(density.scale * _SQRT_2PI)
-        )
-    inside = np.all(np.abs(s) <= density.scale)
-    if not inside:
-        return 0.0
-    return float(1.0 / np.prod(2.0 * density.scale))
 
 
 def density_sample(density: ErrorDensity, rng: np.random.Generator, n: int) -> np.ndarray:

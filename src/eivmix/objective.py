@@ -24,11 +24,19 @@ objectives are recovered.
 ``nll_general`` and ``CompiledObjective.evaluate`` can override every
 Gaussian scale with one global scale per coordinate; ``fit_extended`` fits them.
 
-Closed forms for the Gaussian line/hyperplane and the uniform-interval line
-avoid numeric integration entirely. The Gaussian closed forms omit one
-additive constant, ``GAUSS_LOG_NORM_PER_GROUP`` per group, relative to
-``nll_general`` (which keeps fully normalized densities); the interval
-closed form keeps full normalization and matches ``nll_general`` exactly.
+Closed forms for the affine model with Gaussian errors and for the line
+with uniform-box errors avoid numeric integration entirely. The Gaussian
+closed form omits ``GAUSS_LOG_NORM_PER_GROUP`` = 1/2 log(2 pi) ~ 0.9189 per
+group relative to ``nll_general`` (which keeps fully normalized densities);
+the interval closed form keeps full normalization and matches it exactly.
+
+The three compiled objectives (``CompiledObjective``,
+``CompiledGaussianPlane``, ``CompiledIntervalLine``) share one contract,
+kept in their base ``_Compiled``: compile once, bucketing the groups that
+share per-point density kinds; ``evaluate(alpha)`` returns an
+``ObjectiveValue`` and a call returns its value. One gate, ``_check_kinds``,
+rejects the density kinds an objective cannot take, naming the first
+offending group, its side and its kind.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ import numpy as np
 
 from .dataset import GroupedDataset
 from .densities import GAUSSIAN, KINDS, POINT_MASS, UNIFORM
-from .densities import _SQRT_2PI
 from .models import ParametricModel, _check_alpha, model_eval_batch
 
 QUADRATURE = "quadrature-grid"
@@ -52,6 +59,8 @@ MONTE_CARLO = "monte-carlo"
 #: from nll_general: closed_form.value + R * GAUSS_LOG_NORM_PER_GROUP
 #: equals the fully normalized objective.
 GAUSS_LOG_NORM_PER_GROUP = 0.5 * math.log(2.0 * math.pi)
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Grid nodes the compiled objective may cache over all groups together.
 _MAX_DATASET_GRID_POINTS = 1 << 23
@@ -352,9 +361,50 @@ def _check_model_dims(ds: GroupedDataset, model: ParametricModel) -> None:
         )
 
 
-def _group_of(offsets, row) -> int:
-    """The group holding flat row ``row``."""
-    return int(np.searchsorted(offsets, row, side="right")) - 1
+def _check_kinds(ds: GroupedDataset, inputs, outputs, why: str) -> None:
+    """The density-kind gate: raise unless every input density's kind is in
+    ``inputs`` and every output density's in ``outputs``, naming the first
+    offending group (inputs first), its side and its kind, then ``why``."""
+    for side, kinds, offsets, allowed in (
+        ("input", ds.input_kinds, ds.input_offsets, inputs),
+        ("output", ds.output_kinds, ds.output_offsets, outputs),
+    ):
+        bad = np.flatnonzero(~np.isin(kinds, [KINDS.index(kind) for kind in allowed]))
+        if bad.size:
+            group = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+            raise ValueError(f"group {group} has a {KINDS[kinds[bad[0]]]} {side} density; {why}")
+
+
+class _Compiled:
+    """The contract every compiled objective shares (see the module docstring).
+
+    A subclass's ``__init__`` calls ``_compile``, which builds one bucket per
+    ``_buckets`` entry with the subclass's ``_bucket(rows, inputs, outputs)``.
+    Its ``evaluate`` checks the arguments and returns ``_value(*args)``,
+    which writes the per-group logs that the generator ``_group_logs(*args)``
+    yields as (rows, logs), bucket by bucket, under one ``np.errstate``:
+    overflow to inf and log 0 = -inf are expected there.
+
+    Evaluations write into buffers each bucket keeps for the objective's
+    lifetime, so repeated evaluations neither allocate them nor page-fault.
+    Results never alias them: each ``ObjectiveValue`` owns its
+    ``per_group_log``. Because the buffers are shared, one compiled
+    objective must not be evaluated from two threads at once.
+    """
+
+    def _compile(self, ds: GroupedDataset) -> None:
+        self.n_groups = ds.n_groups
+        self.buckets = [self._bucket(*bucket) for bucket in _buckets(ds)]
+
+    def _value(self, *args) -> ObjectiveValue:
+        per_group = np.empty(self.n_groups)
+        with np.errstate(over="ignore", divide="ignore"):
+            for rows, logs in self._group_logs(*args):
+                per_group[rows] = logs
+        return ObjectiveValue.from_group_logs(per_group)
+
+    def __call__(self, alpha) -> float:
+        return self.evaluate(alpha).value
 
 
 class _Bucket:
@@ -372,14 +422,8 @@ class _Bucket:
         self.out_parts = _kind_columns(self.out_kinds)
 
 
-class CompiledObjective:
+class CompiledObjective(_Compiled):
     """Reusable evaluator of the general grouped objective.
-
-    Every integration method reduces to nodes s_i with weights w_i per
-    group: the grid (weights f_in times the trapezoid weights), point-mass
-    centers (weights 1/H, sifting) or Monte Carlo draws from the input
-    mixture (weights 1/P). ``evaluate`` contracts them the same way for all
-    three, likelihood = sum_i w_i f_out(M(s_i; alpha)).
 
     Compiling once and evaluating many times is what the optimizer does;
     ``nll_general`` is the one-shot convenience wrapper. Evaluation is a
@@ -404,36 +448,22 @@ class CompiledObjective:
     the same seeds for such an override.
 
     The output mixture's alpha-invariant constants are compiled once per
-    density kind (``_kind_constants``), so a Gaussian term costs a subtract,
-    a square, a negate and an exp. Where a group's output components share
-    one scale, as in every simulated scenario and the bundled table, that
-    scale is stored once per group and each node is scaled once, not once
-    per component. ``_grid_mixture``'s input tables use the same kernel.
-
-    Evaluations reuse per-bucket buffers: the model values, the output
-    mixture's block temporaries, its result and its constants. The first
-    ``evaluate`` makes them, sized from each bucket's shapes (the constants
-    again for each ``output_scales`` override), and they live as long as
-    the compiled objective, so repeated evaluations neither allocate nor
-    page-fault. Results never alias them: each ``ObjectiveValue`` owns its
-    ``per_group_log``. Because the buffers are shared, one compiled
-    objective must not be evaluated from two threads at once.
+    density kind (``_kind_constants``). Each bucket's buffers hold the model
+    values, the output mixture's block temporaries, its result and those
+    constants; the first ``evaluate`` makes them (the constants again for
+    each ``output_scales`` override).
     """
+
+    _bucket = _Bucket
 
     def __init__(self, ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig):
         _check_model_dims(ds, model)
-        pm_rows = np.flatnonzero(ds.output_kinds == KINDS.index(POINT_MASS))
-        if pm_rows.size:
-            raise ValueError(
-                f"group {_group_of(ds.output_offsets, pm_rows[0])} has a point-mass "
-                "output density; the output mixture cannot be evaluated (sifting "
-                "applies to inputs only)"
-            )
+        why = "the output mixture cannot be evaluated (sifting applies to inputs only)"
+        _check_kinds(ds, KINDS, (GAUSSIAN, UNIFORM), why)
         self.ds = ds
         self.model = model
         self.cfg = cfg
-        self.n_groups = ds.n_groups
-        self.buckets = [_Bucket(*bucket) for bucket in _buckets(ds)]
+        self._compile(ds)
         if cfg.method == QUADRATURE:
             k = ds.input_dim
             g = cfg.points_for_dim(k)
@@ -519,7 +549,9 @@ class CompiledObjective:
     def evaluate(self, alpha, input_scales=None, output_scales=None) -> ObjectiveValue:
         input_scales = self._checked_override(input_scales, self.ds.input_dim, "input")
         output_scales = self._checked_override(output_scales, self.ds.output_dim, "output")
-        per_group = np.empty(self.n_groups)
+        return self._value(alpha, input_scales, output_scales)
+
+    def _group_logs(self, alpha, input_scales, output_scales):
         for b in self.buckets:
             nodes = b.nodes
             if input_scales is not None:
@@ -534,12 +566,7 @@ class CompiledObjective:
                 # sum_i w_i f_out(s_i) per group, off BLAS; the mixture's
                 # 1/L is applied once per group, not once per node
                 lik = lik + np.einsum("bn,bn->b", fy, w)
-            with np.errstate(divide="ignore"):
-                per_group[b.idx] = np.log(lik / b.y.shape[1])
-        return ObjectiveValue.from_group_logs(per_group)
-
-    def __call__(self, alpha) -> float:
-        return self.evaluate(alpha).value
+            yield b.idx, np.log(lik / b.y.shape[1])
 
 
 def nll_general(
@@ -561,40 +588,31 @@ def shared_gaussian_scales(ds: GroupedDataset) -> tuple:
     """Shared per-coordinate Gaussian scales (input vector, output vector).
 
     Raises if any density is not Gaussian or scales differ across points;
-    the closed-form Gaussian objectives require this homogeneity.
+    the closed-form Gaussian objective requires this homogeneity.
     """
-    def shared(kinds, scales, side):
-        other = kinds[kinds != KINDS.index(GAUSSIAN)]
-        if other.size:
-            raise ValueError(
-                f"{side} densities must all be gaussian-diagonal, found {KINDS[other[0]]}"
-            )
+    why = "the Gaussian closed form requires gaussian-diagonal errors on both sides"
+    _check_kinds(ds, (GAUSSIAN,), (GAUSSIAN,), why)
+    for side, scales in (("input", ds.input_scales), ("output", ds.output_scales)):
         if not np.all(scales == scales[0]):
             raise ValueError(f"{side} densities must share one scale vector")
-        return scales[0].copy()
-
-    eta = shared(ds.input_kinds, ds.input_scales, "input")
-    eps = shared(ds.output_kinds, ds.output_scales, "output")
-    return eta, eps
+    return ds.input_scales[0].copy(), ds.output_scales[0].copy()
 
 
-# -- Gaussian closed forms ----------------------------------------------------
+# -- Gaussian closed form -----------------------------------------------------
 
 
-class CompiledGaussianPlane:
+class CompiledGaussianPlane(_Compiled):
     """Closed-form grouped objective for an affine model with Gaussian errors.
 
     Exploits the Gaussian convolution identity: each input/output
     combination contributes a Gaussian in the combined residual with
     variance V = sum_n alpha_{n+1}^2 sigma_eta_n^2 + sigma_eps^2. Values
     omit GAUSS_LOG_NORM_PER_GROUP per group (see module docstring). Where V
-    overflows, every group's likelihood is zero and the value is +inf.
+    overflows, every group's likelihood is zero and the value is +inf; a
+    sigma_eps whose square underflows is rejected, so V is never 0.
 
-    Each bucket keeps one (B, H, L) buffer that every evaluation overwrites,
-    so repeated evaluations neither allocate it nor page-fault. Results
-    never alias it: each ``ObjectiveValue`` owns its ``per_group_log``.
-    Because the buffer is shared, one compiled objective must not be
-    evaluated from two threads at once.
+    The scales are arguments (one sigma_eta for the line), not read from the
+    dataset's densities. Each bucket keeps one (B, H, L) buffer.
     """
 
     def __init__(self, ds: GroupedDataset, sigma_eta, sigma_eps: float):
@@ -608,73 +626,64 @@ class CompiledGaussianPlane:
         if not (np.all((sigma_eta > 0) & (sigma_eta < math.inf)) and 0 < sigma_eps < math.inf):
             raise ValueError("sigmas must be finite and > 0")
         self.sigma_eta = sigma_eta
-        self.sigma_eps = np.float64(sigma_eps)  # its square overflows to inf, not OverflowError
-        self.n_groups = ds.n_groups
-        self.buckets = []
-        for rows, (x, _, _), (y, _, _) in _buckets(ds):
-            B, H, L = len(rows), x.shape[1], y.shape[1]
-            self.buckets.append((rows, x, y[:, :, 0], math.log(H * L), np.empty((B, H, L))))
+        # the squares of huge scales overflow to inf, so V does too
+        with np.errstate(over="ignore"):
+            self.var_eta, self.var_eps = sigma_eta**2, np.float64(sigma_eps) ** 2
+        if self.var_eps == 0.0:
+            raise ValueError(f"sigma_eps = {sigma_eps!r} is too small: its square underflows to 0")
+        self._compile(ds)
+
+    @staticmethod
+    def _bucket(rows, inputs, outputs):
+        x, y = inputs[0], outputs[0][:, :, 0]
+        B, H, L = len(rows), x.shape[1], y.shape[1]
+        return rows, x, y, math.log(H * L), np.empty((B, H, L))
 
     def evaluate(self, alpha) -> ObjectiveValue:
-        alpha = _check_alpha(self.sigma_eta.size + 1, alpha)
+        return self._value(_check_alpha(self.sigma_eta.size + 1, alpha))
+
+    def _group_logs(self, alpha):
         slopes = alpha[1:]
-        per_group = np.empty(self.n_groups)
-        # V and the squared residuals may overflow to inf, and a likelihood
-        # of zero gives log 0 = -inf
-        with np.errstate(over="ignore", divide="ignore"):
-            v = float(np.sum(slopes**2 * self.sigma_eta**2) + self.sigma_eps**2)
-            if v == math.inf:
-                # a density of infinite variance is zero everywhere
-                per_group.fill(-math.inf)
-                return ObjectiveValue.from_group_logs(per_group)
-            for rows, x, y, log_hl, u in self.buckets:
-                pred = alpha[0] + x @ slopes  # (B, H)
-                # u = d^2 / (2V) is minus each combination's exponent; IEEE
-                # negation and division commute exactly, so umin - u is bit
-                # for bit the e - max(e) of e = -d^2 / (2V). log - umin rather
-                # than -umin + log keeps the sign bit of a NaN result as well
-                np.subtract(pred[:, :, None], y[:, None, :], out=u)
-                np.divide(np.square(u, out=u), 2.0 * v, out=u)
-                umin = u.min(axis=(1, 2))
-                # where every u of a group is inf its likelihood is zero: a
-                # shift by the largest double, not by inf, makes each term
-                # exp(-inf) = 0 instead of exp(inf - inf) = NaN
-                shift = np.minimum(umin, sys.float_info.max)
-                total = np.exp(np.subtract(shift[:, None, None], u, out=u), out=u).sum(axis=(1, 2))
-                lse = np.log(total) - umin
-                per_group[rows] = lse - log_hl - 0.5 * math.log(v)
-        return ObjectiveValue.from_group_logs(per_group)
-
-    def __call__(self, alpha) -> float:
-        return self.evaluate(alpha).value
-
-
-def nll_gaussian_line(
-    ds: GroupedDataset, sigma_eta: float, sigma_eps: float, alpha
-) -> ObjectiveValue:
-    """Closed-form objective for the 1-d line with shared Gaussian errors.
-
-    For fully paired data the value is exactly
-    (L/2) log(alpha_2^2 sigma_eta^2 + sigma_eps^2) + sum_l d_l^2 / (2 V)
-    with d_l the line residuals; no hidden constants beyond the omitted
-    GAUSS_LOG_NORM_PER_GROUP per group.
-    """
-    if ds.input_dim != 1:
-        raise ValueError("line closed form requires scalar inputs")
-    return CompiledGaussianPlane(ds, [sigma_eta], sigma_eps).evaluate(alpha)
+        v = float(np.sum(slopes**2 * self.var_eta) + self.var_eps)
+        if v == math.inf:
+            # a density of infinite variance is zero everywhere
+            yield slice(None), -math.inf
+            return
+        two_v, half_log_v = 2.0 * v, 0.5 * math.log(v)
+        for rows, x, y, log_hl, u in self.buckets:
+            pred = alpha[0] + x @ slopes  # (B, H)
+            # u = d^2 / (2V) is minus each combination's exponent; IEEE
+            # negation and division commute exactly, so umin - u is bit
+            # for bit the e - max(e) of e = -d^2 / (2V). log - umin rather
+            # than -umin + log keeps the sign bit of a NaN result as well
+            np.subtract(pred[:, :, None], y[:, None, :], out=u)
+            np.divide(np.square(u, out=u), two_v, out=u)
+            umin = u.min(axis=(1, 2))
+            # where every u of a group is inf its likelihood is zero: a
+            # shift by the largest double, not by inf, makes each term
+            # exp(-inf) = 0 instead of exp(inf - inf) = NaN
+            shift = np.minimum(umin, sys.float_info.max)
+            total = np.exp(np.subtract(shift[:, None, None], u, out=u), out=u).sum(axis=(1, 2))
+            yield rows, np.log(total) - umin - log_hl - half_log_v
 
 
 def nll_gaussian_hyperplane(
     ds: GroupedDataset, sigma_eta, sigma_eps: float, alpha
 ) -> ObjectiveValue:
-    """Closed-form objective for the affine hyperplane with Gaussian errors."""
+    """Closed-form objective for the affine model with Gaussian errors.
+
+    ``sigma_eta`` has one scale per input, ``[sigma_eta]`` for the line. For
+    fully paired data on the line the value is exactly
+    (L/2) log(alpha_2^2 sigma_eta^2 + sigma_eps^2) + sum_l d_l^2 / (2 V)
+    with d_l the line residuals.
+    """
     return CompiledGaussianPlane(ds, sigma_eta, sigma_eps).evaluate(alpha)
 
 
 # -- interval (uniform) closed form -------------------------------------------
 
 
-class CompiledIntervalLine:
+class CompiledIntervalLine(_Compiled):
     """Closed-form objective for the 1-d line with uniform-box errors.
 
     Each input is an interval [x - v, x + v], each output an interval
@@ -685,11 +694,7 @@ class CompiledIntervalLine:
 
     Compiling computes the alpha-invariant factors once: -v and the
     normalizer 4 v w of every combination. Each bucket keeps two (B, H, L)
-    buffers that every evaluation overwrites, so repeated evaluations
-    neither allocate them nor page-fault. Results never alias them: each
-    ``ObjectiveValue`` owns its ``per_group_log``. Because the buffers are
-    shared, one compiled objective must not be evaluated from two threads at
-    once.
+    buffers.
     """
 
     A2_TOL = 1e-12
@@ -697,26 +702,25 @@ class CompiledIntervalLine:
     def __init__(self, ds: GroupedDataset):
         if ds.input_dim != 1 or ds.output_dim != 1:
             raise ValueError("interval closed form requires scalar inputs and outputs")
-        for kinds, offsets in ((ds.input_kinds, ds.input_offsets), (ds.output_kinds, ds.output_offsets)):
-            rows = np.flatnonzero(kinds != KINDS.index(UNIFORM))
-            if rows.size:
-                raise ValueError(
-                    f"group {_group_of(offsets, rows[0])} has a {KINDS[kinds[rows[0]]]} "
-                    "density; interval closed form requires uniform-box errors on both sides"
-                )
-        self.n_groups = ds.n_groups
-        self.buckets = []
-        for rows, (x, v, _), (y, w, _) in _buckets(ds):
-            w = w[:, :, 0]  # (B, L); x and v are (B, H, 1)
-            norm = 4.0 * v * w[:, None, :]  # (B, H, L)
-            self.buckets.append((rows, x, v, -v, y[:, :, 0], w, norm, np.empty_like(norm), np.empty_like(norm)))
+        why = "the interval closed form requires uniform-box errors on both sides"
+        _check_kinds(ds, (UNIFORM,), (UNIFORM,), why)
+        self._compile(ds)
+
+    @staticmethod
+    def _bucket(rows, inputs, outputs):
+        (x, v, _), (y, w, _) = inputs, outputs
+        w = w[:, :, 0]  # (B, L); x and v are (B, H, 1)
+        norm = 4.0 * v * w[:, None, :]  # (B, H, L)
+        return rows, x, v, -v, y[:, :, 0], w, norm, np.empty_like(norm), np.empty_like(norm)
 
     def evaluate(self, alpha) -> ObjectiveValue:
-        a1, a2 = _check_alpha(2, alpha).tolist()
-        per_group = np.empty(self.n_groups)
+        return self._value(*_check_alpha(2, alpha).tolist())
+
+    def _group_logs(self, a1, a2):
+        # a flat enough slope is the constant model: the input interval is irrelevant
+        flat = abs(a2) < self.A2_TOL * (1.0 + abs(a1))
         for rows, x, v, neg_v, yb, w, norm, hi, lo in self.buckets:
-            if abs(a2) < self.A2_TOL * (1.0 + abs(a1)):
-                # constant model: input interval is irrelevant
+            if flat:
                 terms = (np.abs(yb - a1) <= w) / (2.0 * w)  # (B, L)
                 lik = terms.mean(axis=1)
             else:
@@ -728,12 +732,7 @@ class CompiledIntervalLine:
                 overlap = np.subtract(np.minimum(v, hi, out=hi), np.maximum(neg_v, lo, out=lo), out=hi)
                 np.maximum(overlap, 0.0, out=overlap)
                 lik = np.divide(overlap, norm, out=overlap).mean(axis=(1, 2))
-            with np.errstate(divide="ignore"):
-                per_group[rows] = np.log(lik)
-        return ObjectiveValue.from_group_logs(per_group)
-
-    def __call__(self, alpha) -> float:
-        return self.evaluate(alpha).value
+            yield rows, np.log(lik)
 
 
 def likelihood_interval_line(ds: GroupedDataset, alpha) -> ObjectiveValue:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from eivmix import Group, GroupedDataset
-from eivmix.densities import density_eval
+from eivmix.densities import GAUSSIAN, POINT_MASS
 from eivmix.models import model_eval
 
 
@@ -20,6 +20,31 @@ def single_group(x, y, din, dout):
     y = np.asarray(y, dtype=float).reshape(len(y), -1)
     g = Group(x, y, (din,) * x.shape[0], (dout,) * y.shape[0])
     return GroupedDataset((g,), x.shape[1], y.shape[1])
+
+
+def density_eval(density, s) -> float:
+    """Evaluate an ErrorDensity at a point ``s`` of matching dimension.
+
+    Point masses have no numeric density; asking for one is a usage error
+    (callers must take the sifting path instead).
+    """
+    if density.kind == POINT_MASS:
+        raise ValueError(
+            "point-mass density has no numeric value; "
+            "use the sifting reduction instead"
+        )
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if s.shape != (density.dim,):
+        raise ValueError(f"point has shape {s.shape}, expected ({density.dim},)")
+    if density.kind == GAUSSIAN:
+        z = s / density.scale
+        return float(
+            np.exp(-0.5 * np.dot(z, z)) / np.prod(density.scale * math.sqrt(2.0 * math.pi))
+        )
+    inside = np.all(np.abs(s) <= density.scale)
+    if not inside:
+        return 0.0
+    return float(1.0 / np.prod(2.0 * density.scale))
 
 
 def model_eval_scalar(model, alpha, s):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from conftest import record_criterion
-from oracles import integrated_deming_penalty, quad_oracle_value, single_group
+from oracles import density_eval, integrated_deming_penalty, quad_oracle_value, single_group
 
 from eivmix import (
     ALL_PAIRS,
@@ -39,7 +39,6 @@ from eivmix import (
     imputation_fit,
     likelihood_interval_line,
     nll_gaussian_hyperplane,
-    nll_gaussian_line,
     nll_general,
     objective_surface,
     ols_general,
@@ -50,7 +49,6 @@ from eivmix import (
 )
 from eivmix.cli import main as cli_main
 from eivmix.data_io import worldbank_analog_path
-from eivmix.densities import density_eval
 
 LINE = ParametricModel.affine_1d()
 MASTER = 20260816
@@ -99,7 +97,7 @@ def test_criterion_01_closed_form_matches_quadrature():
             rng, 1, 0.1, 0.5
         )
         alpha = alpha_true + rng.uniform(-0.5, 0.5, 2)
-        closed = nll_gaussian_line(ds, float(sigma_eta[0]), sigma_eps, alpha).value
+        closed = nll_gaussian_hyperplane(ds, [float(sigma_eta[0])], sigma_eps, alpha).value
         closed += ds.n_groups * GAUSS_LOG_NORM_PER_GROUP
         general = nll_general(ds, LINE, fine, alpha).value
         worst_line = max(worst_line, abs(closed - general) / (1.0 + abs(general)))
@@ -255,7 +253,7 @@ def test_criterion_04_deming_oracle_and_decomposition():
             v = alpha[1] ** 2 * sigma_eta**2 + sigma_eps**2
             ss = float(np.sum((alpha[0] + alpha[1] * x - y) ** 2) / (2.0 * v))
             pen = integrated_deming_penalty(alpha[1], sigma_eta, sigma_eps, n)
-            nll = nll_gaussian_line(ds, sigma_eta, sigma_eps, alpha).value
+            nll = nll_gaussian_hyperplane(ds, [sigma_eta], sigma_eps, alpha).value
             worst_ident = max(worst_ident, abs(nll - ss - pen))
     dt = time.perf_counter() - t0
     ok = worst_fit <= 1e-6 and worst_ident <= 1e-12 and dt < 20.0
@@ -444,7 +442,7 @@ def test_criterion_09_monte_carlo_estimator():
     ds = generate_scenario(spec, np.random.default_rng(314159))
     alpha = np.asarray(spec.alpha)
     closed = (
-        nll_gaussian_line(ds, 0.2, 0.2, alpha).value
+        nll_gaussian_hyperplane(ds, [0.2], 0.2, alpha).value
         + ds.n_groups * GAUSS_LOG_NORM_PER_GROUP
     )
     draws = {}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import density_eval
+
 from eivmix import (
     GAUSSIAN,
     POINT_MASS,
@@ -8,7 +10,7 @@ from eivmix import (
     DensityParams,
     ErrorDensity,
 )
-from eivmix.densities import density_eval, density_sample
+from eivmix.densities import density_sample
 
 # standard normal pdf at 1 and at 0, to 17 digits
 PHI_1 = 0.24197072451914337

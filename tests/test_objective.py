@@ -12,16 +12,20 @@ from hypothesis import strategies as st
 from oracles import quad_oracle_value, single_group
 
 from eivmix import (
+    GAUSS_LINE,
+    GENERAL,
+    INTERVAL_LINE,
     MONTE_CARLO,
     ErrorDensity,
     Group,
     GroupedDataset,
     IntegrationConfig,
+    OptimizerConfig,
     ParametricModel,
     as_grouped,
+    fit,
     likelihood_interval_line,
     nll_gaussian_hyperplane,
-    nll_gaussian_line,
     nll_general,
 )
 from eivmix import objective
@@ -34,6 +38,7 @@ from eivmix.objective import (
     shared_gaussian_scales,
 )
 from eivmix import PairedDataset, generate_scenario, scenario_spec
+from eivmix.optimize import _build_objective
 from eivmix.simulate import scenario_model
 
 LINE = ParametricModel.affine_1d()
@@ -59,7 +64,7 @@ def test_single_pair_gaussian_frozen():
 def test_closed_form_constant_identity():
     # closed form + R * 0.5 log(2 pi) = fully normalized objective
     ds = single_group([0.0], [0.0], G1, G1)
-    closed = nll_gaussian_line(ds, 1.0, 1.0, [0.0, 1.0])
+    closed = nll_gaussian_hyperplane(ds, [1.0], 1.0, [0.0, 1.0])
     assert closed.value == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
     general = nll_general(ds, LINE, FINE, [0.0, 1.0])
     assert general.value == pytest.approx(
@@ -229,7 +234,7 @@ def test_gaussian_line_paired_formula():
     v = alpha[1] ** 2 * sigma_eta**2 + sigma_eps**2
     resid = alpha[0] + alpha[1] * xs - ys
     want = 0.5 * len(xs) * math.log(v) + float(np.sum(resid**2)) / (2.0 * v)
-    got = nll_gaussian_line(ds, sigma_eta, sigma_eps, alpha)
+    got = nll_gaussian_hyperplane(ds, [sigma_eta], sigma_eps, alpha)
     assert got.value == pytest.approx(want, rel=1e-13)
 
 
@@ -782,7 +787,7 @@ def test_gaussian_variance_overflow_gives_inf_not_nan():
     # which used to give inf - inf = NaN. The interval form is +inf there too
     ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
     for alpha in ([0.0, 1e200], [1e300, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
-        got = nll_gaussian_line(ds, 0.3, 0.3, alpha)
+        got = nll_gaussian_hyperplane(ds, [0.3], 0.3, alpha)
         assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
         assert np.all(got.per_group_log == -math.inf)
     for eta, eps in ((1e200, 1.0), (1.0, 1e200)):
@@ -841,11 +846,49 @@ def test_every_objective_checks_alpha_length(bad):
     for evaluate in (
         lambda a: nll_general(d_ds, LINE, IntegrationConfig(), a),
         lambda a: likelihood_interval_line(d_ds, a),
-        lambda a: nll_gaussian_line(a_ds, 0.2, 0.2, a),
         lambda a: nll_gaussian_hyperplane(a_ds, [0.2], 0.2, a),
     ):
         with pytest.raises(ValueError, match=message):
             evaluate(bad)
+
+
+def test_every_objective_names_the_group_side_and_kind_it_rejects():
+    # one gate checks the density kinds of all three objectives: group 1's
+    # second member has a wrong kind on one side, and the error names that
+    # group, the side and the kind. The general objective takes every input
+    # kind, so only its output side can be wrong
+    gauss, unif, pm = ErrorDensity.gaussian(0.3), ErrorDensity.uniform(0.3), ErrorDensity.point_mass(1)
+    for choice, good, bad, side in (
+        (GENERAL, gauss, pm, "output"),
+        (GAUSS_LINE, gauss, unif, "input"),
+        (GAUSS_LINE, gauss, pm, "output"),
+        (INTERVAL_LINE, unif, gauss, "input"),
+        (INTERVAL_LINE, unif, pm, "output"),
+    ):
+        groups = []
+        for r in range(3):
+            members = (good, bad if r == 1 else good)
+            ins, outs = (members, (good, good)) if side == "input" else ((good, good), members)
+            groups.append(Group(np.array([[0.0], [1.0]]), np.array([[0.5], [1.5]]), ins, outs))
+        ds = GroupedDataset(tuple(groups), 1, 1)
+        with pytest.raises(ValueError, match=rf"^group 1 has a {bad.kind} {side} density; "):
+            _build_objective(ds, LINE, choice, IntegrationConfig())
+
+
+def test_gaussian_rejects_sigma_eps_whose_square_underflows():
+    # sigma_eps^2 = 0 let V = 0 at a zero slope, and log V raised a bare
+    # "math domain error"; V >= sigma_eps^2 > 0 once such a scale is rejected
+    ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"sigma_eps = 1e-200 is too small: its square underflows to 0"):
+        CompiledGaussianPlane(ds, [1e-200], 1e-200)
+    tiny = ErrorDensity.gaussian(1e-200)
+    paired = as_grouped(PairedDataset.from_arrays(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), tiny, tiny))
+    with pytest.raises(ValueError, match="sigma_eps"):
+        fit(paired, LINE, GAUSS_LINE, IntegrationConfig(), OptimizerConfig())
+    # a subnormal square is still > 0: every residual's exponent overflows,
+    # and the value is +inf with a note, without NaN or a warning
+    got = CompiledGaussianPlane(ds, [1e-200], 1e-160).evaluate([0.0, 1.0])
+    assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
 
 
 def test_objective_value_decomposition():

@@ -1,12 +1,14 @@
 import ast
 import importlib
+import importlib.util
 import pathlib
 import re
 import warnings
 
 import eivmix
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # names kept out of the package namespace; each is imported from its module
 MODULE_ONLY = {
@@ -24,7 +26,7 @@ MODULE_ONLY = {
         "cross_pair_expansion",
         "group_mean_pairs",
     ],
-    "eivmix.densities": ["density_eval", "density_sample"],
+    "eivmix.densities": ["density_sample"],
     "eivmix.metrics": ["residual_summary"],
     "eivmix.models": ["model_eval", "model_eval_batch"],
     "eivmix.objective": [
@@ -91,3 +93,26 @@ def test_module_only_names():
         for name in names:
             assert hasattr(owner, name), (module, name)
             assert name not in eivmix.__all__, name
+
+
+def test_traced_names_resolve_and_no_traced_class_inherits_another():
+    # the benchmark's tracer wraps the names in its LAYERS table by module
+    # path and rebinds a class's __init__ and evaluate by name: a renamed
+    # name drops its spans, and a traced class inheriting a method of
+    # another traced class could have its calls wrapped twice or recorded
+    # under the other's span name
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing, classes = [], set()
+    for module, path, *_ in tracing.LAYERS:
+        try:
+            owner = tracing.resolve(module, path)[0]
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+            continue
+        if isinstance(owner, type):
+            classes.add(owner)
+    assert missing == []
+    assert {c.__name__ for c in classes} >= {"CompiledObjective", "CompiledGaussianPlane", "CompiledIntervalLine"}
+    assert [(a, b) for a in classes for b in classes if a is not b and issubclass(a, b)] == []
