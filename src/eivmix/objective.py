@@ -140,11 +140,32 @@ class ObjectiveValue:
         return ObjectiveValue(value, per_group_log, note)
 
 
+def _pairwise(left, right, out) -> np.ndarray:
+    """a + s b at every (i, j) pair, into out (B, I, J), as one batched matmul.
+
+    left is [a, s] (B, I, 2) with s = 1 or -1, and right is [1; b] (B, 2, J).
+    Each element is a*1 + s*b: both products are exact and one IEEE addition
+    rounds, so whatever the BLAS kernel's order, FMA use or thread count, the
+    result equals ``np.add(a, s * b)`` bit for bit, except perhaps the sign
+    of an exact zero. A GEMM writes its output from operands that stay in
+    cache (Goto and van de Geijn, ACM TOMS 34, 2008), which numpy's
+    broadcast iterator over (B, I, J) does not: on a (4, 400, 40) block the
+    product takes a quarter of the time of the broadcast subtraction. Where
+    I or J is 1, numpy coalesces the broadcast into one loop, which the
+    product does not beat, so callers keep the ufunc there: a bucket with
+    one component, one input or one output. OpenBLAS may raise a spurious
+    invalid-value flag where an operand holds +-inf, though every value is
+    right; hence the errstate.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.matmul(left, right, out=out)
+
+
 def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple:
     """The alpha-invariant constants of one kind's component densities.
 
     centers and scales have shape (B, C, d). Returns (planes, inv_norm):
-    planes holds one (origin, scale, center) triple per coordinate, and
+    planes holds one (origin, scale, center, pair) tuple per coordinate, and
     inv_norm (B, C) is one over each component's normaliser, the product
     over coordinates of sqrt(2 pi) sigma (Gaussian) or of twice the
     half-width (uniform). The origin is each group's first center, (B, 1, 1).
@@ -155,6 +176,10 @@ def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple
     Scales and centers have shape (B, C, 1), but where every component of a
     group shares a coordinate's scale, that scale collapses to (B, 1, 1), so
     ``_kernel`` scales each node once instead of once per component.
+    pair is ``_pairwise``'s left operand [center, -1] (B, C, 2) where
+    ``_kernel`` forms center - node as a product: a uniform plane, or a
+    Gaussian one with a collapsed scale, of more than one component.
+    Otherwise it is None.
     """
     gaussian = kind == GAUSSIAN
     inv_norm = 1.0 / np.prod(scales * (_SQRT_2PI if gaussian else 2.0), axis=-1)
@@ -167,7 +192,10 @@ def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple
             c = (c - o) * s
         if np.all(s == s[:, :1]):
             s = s[:, :1]
-        planes.append((np.ascontiguousarray(o), np.ascontiguousarray(s), np.ascontiguousarray(c)))
+        pair = None
+        if c.shape[1] > 1 and (s.shape[1] == 1 or not gaussian):
+            pair = np.concatenate([c, np.full_like(c, -1.0)], axis=2)
+        planes.append((np.ascontiguousarray(o), np.ascontiguousarray(s), np.ascontiguousarray(c), pair))
     return planes, inv_norm
 
 
@@ -176,21 +204,35 @@ def _kernel(kind: str, planes: list, coords: list, out, tmp, node) -> np.ndarray
 
     planes comes from _kind_constants and coords holds one (B, 1, m) array of
     node coordinates per plane. out and tmp are (B, C, m) buffers (tmp is
-    used only from the second coordinate on) and node a (B, 1, m) buffer. A
-    Gaussian term is exp(-sum_j (center_j - scale_j (p_j - origin_j))^2), a
-    uniform term 1.0 where every |center_j - p_j| <= h_j and 0.0 elsewhere.
-    Coordinates are combined plane by plane, so no temporary has a
-    coordinate axis.
+    used only from the second coordinate on). node is a (B, 1, m) buffer, or
+    (B, 2, m) with a first row of ones where a plane has a pair: its last row
+    takes each node's (scaled) coordinate, and the whole of it is then
+    ``_pairwise``'s right operand [1; node]. A Gaussian term is
+    exp(-sum_j (center_j - scale_j (p_j - origin_j))^2), a uniform term 1.0
+    where every |center_j - p_j| <= h_j and 0.0 elsewhere. Coordinates are
+    combined plane by plane, so no temporary has a coordinate axis. Each
+    Gaussian coordinate costs a difference, a square and, with the exp, a
+    negation; the difference is a two-column product wherever both the
+    component and the node axis are longer than 1.
     """
     gaussian = kind == GAUSSIAN
-    for j, ((o, s, c), p) in enumerate(zip(planes, coords)):
+    row = node[:, -1:]
+    for j, ((o, s, c, pair), p) in enumerate(zip(planes, coords)):
         z = tmp if j else out
+        product = pair is not None and row.shape[2] > 1
         if gaussian:
             # a collapsed scale scales each node once, not once per component
-            sp = np.multiply(np.subtract(p, o, out=node), s, out=node if s.shape[1] == 1 else z)
-            np.square(np.subtract(c, sp, out=z), out=z)
+            p = np.multiply(np.subtract(p, o, out=row), s, out=row if s.shape[1] == 1 else z)
+        elif product:
+            row[...] = p
+        if product:
+            _pairwise(pair, node, z)
         else:
-            np.less_equal(np.abs(np.subtract(c, p, out=z), out=z), s, out=z)
+            np.subtract(c, p, out=z)
+        if gaussian:
+            np.square(z, out=z)
+        else:
+            np.less_equal(np.abs(z, out=z), s, out=z)
         if j:
             (np.add if gaussian else np.multiply)(out, z, out=out)
     if gaussian:
@@ -229,7 +271,8 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
     compiled constants from one call to the next, so that calls with the
     same centers, parts and shapes allocate nothing. Its buffers are made
     on the first call and its constants again whenever ``scales`` is
-    another array. The result is ws's own buffer, which the next call
+    another array. Where C > 1 the node buffer carries ``_kernel``'s row of
+    ones, written once with the buffer. The result is ws's own buffer, which the next call
     overwrites. Without ws every call allocates afresh. A caller may keep
     its own entries in ws under other keys, as ``CompiledObjective.evaluate``
     keeps the model values under "vals".
@@ -243,7 +286,7 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
         w = min(n, nb + 1)  # the widest block
         ws.update(
             out=np.empty((B, n)), acc=np.empty(B * C * w), tmp=np.empty(B * C * w * (d > 1)),
-            node=np.empty(B * w), term=np.empty(B * w),
+            node=np.ones((B, 1 + (C > 1), w)), term=np.empty(B * w),
         )
     if ws.get("scales") is not scales:
         ws["scales"] = scales
@@ -256,7 +299,7 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
             hi = n
         m = hi - lo
         coords = [pts[:, None, lo:hi, j] for j in range(d)]
-        node = ws["node"][: B * m].reshape(B, 1, m)
+        node = ws["node"][:, :, :m]
         for i, (kind, planes, inv_norm) in enumerate(ws["kinds"]):
             # contiguous (B, Cc, m) views of the buffers
             size = B * inv_norm.shape[1] * m
@@ -313,7 +356,7 @@ def _add_grid_products(centers, scales, kind, lin, lines, out) -> None:
     planes, inv_norm = _kind_constants(kind, centers, scales)
     B, C, k = centers.shape
     g = lin.shape[1]
-    node = np.empty((B, 1, g))
+    node = np.ones((B, 1 + (C > 1), g))
     tables = [
         _kernel(kind, [plane], [lin[:, None, :, d]], np.empty((B, C, g)), None, node)
         for d, plane in enumerate(planes)
@@ -420,6 +463,7 @@ class _Bucket:
         self.pm_cols = np.flatnonzero(point_mass).tolist()
         self.in_parts = _kind_columns(self.in_kinds)
         self.out_parts = _kind_columns(self.out_kinds)
+        self.draws = None  # Monte Carlo draws, once an input_scales override needs them
 
 
 class CompiledObjective(_Compiled):
@@ -444,8 +488,9 @@ class CompiledObjective(_Compiled):
     coordinate, globally); other density kinds are unaffected. An
     ``input_scales`` override changes f_in, so it rebuilds the nodes on
     every call; that adds the cost of one compile to each evaluation of
-    ``fit_extended``. Monte Carlo keeps only its nodes and redraws them from
-    the same seeds for such an override.
+    ``fit_extended``. A Monte Carlo compile keeps only its nodes; the first
+    such override keeps each group's component choices and unit draws too,
+    and every override moves those same draws to the new scales.
 
     The output mixture's alpha-invariant constants are compiled once per
     density kind (``_kind_constants``). Each bucket's buffers hold the model
@@ -511,18 +556,12 @@ class CompiledObjective(_Compiled):
         """
         B, H, k = b.x.shape
         if self.cfg.method == MONTE_CARLO:
-            # the mixture is sampled whole, from component choices and unit
-            # draws seeded by (config seed, group index): point-mass
-            # components simply land exactly on their centers (zero scale)
+            # the mixture is sampled whole: point-mass components simply
+            # land exactly on their centers (zero scale)
             P = self.cfg.mc_samples
-            gaussian = b.in_kinds == KINDS.index(GAUSSIAN)
             pts = np.empty((B, P, k))
-            for j, r in enumerate(b.idx):
-                rng = np.random.default_rng((self.cfg.seed, int(r)))
-                comp = rng.integers(0, H, P)
-                zn = rng.standard_normal((P, k))
-                zu = rng.uniform(-1.0, 1.0, (P, k))
-                pts[j] = b.x[j, comp] - xscale[j, comp] * np.where(gaussian[comp][:, None], zn, zu)
+            for j, (comp, z) in enumerate(b.draws or self._draws(b)):
+                pts[j] = np.take(b.x[j], comp, axis=0) - np.take(xscale[j], comp, axis=0) * z
             return [(pts, np.full((1, 1), 1.0 / P))]
         nodes = []
         if b.cont_cols:
@@ -546,6 +585,20 @@ class CompiledObjective(_Compiled):
             nodes.append((b.x[:, b.pm_cols, :], np.full((1, 1), 1.0 / H)))
         return nodes
 
+    def _draws(self, b: _Bucket):
+        """Yield each group's Monte Carlo component choices (P,) and unit
+        draws (P, k), seeded by (config seed, group index): standard normal
+        for a Gaussian component, uniform on [-1, 1] otherwise."""
+        H, k = b.x.shape[1:]
+        P = self.cfg.mc_samples
+        gaussian = b.in_kinds == KINDS.index(GAUSSIAN)
+        for r in b.idx:
+            rng = np.random.default_rng((self.cfg.seed, int(r)))
+            comp = rng.integers(0, H, P)
+            zn = rng.standard_normal((P, k))
+            zu = rng.uniform(-1.0, 1.0, (P, k))
+            yield comp, np.where(gaussian[comp][:, None], zn, zu)
+
     def evaluate(self, alpha, input_scales=None, output_scales=None) -> ObjectiveValue:
         input_scales = self._checked_override(input_scales, self.ds.input_dim, "input")
         output_scales = self._checked_override(output_scales, self.ds.output_dim, "output")
@@ -555,6 +608,8 @@ class CompiledObjective(_Compiled):
         for b in self.buckets:
             nodes = b.nodes
             if input_scales is not None:
+                if self.cfg.method == MONTE_CARLO and b.draws is None:
+                    b.draws = list(self._draws(b))  # kept from the first override on
                 xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
                 nodes = self._nodes(b, xscale)
             yscale = self._effective_scales(b.yscale, b.out_kinds, output_scales)
@@ -609,10 +664,16 @@ class CompiledGaussianPlane(_Compiled):
     variance V = sum_n alpha_{n+1}^2 sigma_eta_n^2 + sigma_eps^2. Values
     omit GAUSS_LOG_NORM_PER_GROUP per group (see module docstring). Where V
     overflows, every group's likelihood is zero and the value is +inf; a
-    sigma_eps whose square underflows is rejected, so V is never 0.
+    sigma_eps whose square underflows is rejected, so V is never 0. Where
+    sigma_eta^2 or 2V overflows but V does not, V is formed from
+    (alpha sigma_eta)^2 and each exponent from (d / sqrt(2V))^2, so a
+    finite likelihood stays finite.
 
     The scales are arguments (one sigma_eta for the line), not read from the
-    dataset's densities. Each bucket keeps one (B, H, L) buffer.
+    dataset's densities. Each bucket keeps one (B, H, L) buffer, and where
+    both H and L exceed 1 the residuals d = pred - y are written into it as
+    a two-column product (``_pairwise``) from the constant [1; y] and a
+    kept [pred, -1] whose first column takes each evaluation's predictions.
     """
 
     def __init__(self, ds: GroupedDataset, sigma_eta, sigma_eps: float):
@@ -626,9 +687,11 @@ class CompiledGaussianPlane(_Compiled):
         if not (np.all((sigma_eta > 0) & (sigma_eta < math.inf)) and 0 < sigma_eps < math.inf):
             raise ValueError("sigmas must be finite and > 0")
         self.sigma_eta = sigma_eta
-        # the squares of huge scales overflow to inf, so V does too
+        # the squares of huge scales overflow to inf; inf times a zero slope
+        # would be NaN, so such a sigma_eta always takes the rescaled V
         with np.errstate(over="ignore"):
             self.var_eta, self.var_eps = sigma_eta**2, np.float64(sigma_eps) ** 2
+        self.huge_eta = not np.all(self.var_eta < math.inf)
         if self.var_eps == 0.0:
             raise ValueError(f"sigma_eps = {sigma_eps!r} is too small: its square underflows to 0")
         self._compile(ds)
@@ -637,27 +700,44 @@ class CompiledGaussianPlane(_Compiled):
     def _bucket(rows, inputs, outputs):
         x, y = inputs[0], outputs[0][:, :, 0]
         B, H, L = len(rows), x.shape[1], y.shape[1]
-        return rows, x, y, math.log(H * L), np.empty((B, H, L))
+        left = right = None
+        if H > 1 and L > 1:
+            left, right = np.full((B, H, 2), -1.0), np.stack([np.ones_like(y), y], axis=1)
+        return rows, x, y, math.log(H * L), np.empty((B, H, L)), left, right
 
     def evaluate(self, alpha) -> ObjectiveValue:
         return self._value(_check_alpha(self.sigma_eta.size + 1, alpha))
 
     def _group_logs(self, alpha):
         slopes = alpha[1:]
-        v = float(np.sum(slopes**2 * self.var_eta) + self.var_eps)
+        # slopes**2 and sigma_eta**2 overflow before V does, and d^2 or 2V
+        # before u does: where sigma_eta**2 or 2V is not finite, V comes from
+        # (slope sigma_eta)^2 and u from (d / sqrt(2V))^2, so no intermediate
+        # overflows where u does not
+        v = math.inf if self.huge_eta else float(np.sum(slopes**2 * self.var_eta) + self.var_eps)
+        huge = 2.0 * v == math.inf
+        if huge:
+            v = float(np.sum(np.square(slopes * self.sigma_eta)) + self.var_eps)
         if v == math.inf:
             # a density of infinite variance is zero everywhere
             yield slice(None), -math.inf
             return
         two_v, half_log_v = 2.0 * v, 0.5 * math.log(v)
-        for rows, x, y, log_hl, u in self.buckets:
-            pred = alpha[0] + x @ slopes  # (B, H)
+        for rows, x, y, log_hl, u, left, right in self.buckets:
+            pred = x @ slopes  # (B, H)
             # u = d^2 / (2V) is minus each combination's exponent; IEEE
             # negation and division commute exactly, so umin - u is bit
             # for bit the e - max(e) of e = -d^2 / (2V). log - umin rather
             # than -umin + log keeps the sign bit of a NaN result as well
-            np.subtract(pred[:, :, None], y[:, None, :], out=u)
-            np.divide(np.square(u, out=u), two_v, out=u)
+            if left is None:
+                np.subtract((alpha[0] + pred)[:, :, None], y[:, None, :], out=u)
+            else:
+                np.add(alpha[0], pred, out=left[:, :, 0])
+                _pairwise(left, right, u)
+            if huge:
+                np.square(np.divide(u, math.sqrt(2.0) * math.sqrt(v), out=u), out=u)
+            else:
+                np.divide(np.square(u, out=u), two_v, out=u)
             umin = u.min(axis=(1, 2))
             # where every u of a group is inf its likelihood is zero: a
             # shift by the largest double, not by inf, makes each term
@@ -694,7 +774,9 @@ class CompiledIntervalLine(_Compiled):
 
     Compiling computes the alpha-invariant factors once: -v and the
     normalizer 4 v w of every combination. Each bucket keeps two (B, H, L)
-    buffers.
+    buffers. Where both H and L exceed 1, the slab centers x + (a1 - y) / a2
+    are a two-column product (``_pairwise``) from the constant [x, 1] and a
+    kept [1; shift] whose second row takes each evaluation's shifts.
     """
 
     A2_TOL = 1e-12
@@ -711,7 +793,11 @@ class CompiledIntervalLine(_Compiled):
         (x, v, _), (y, w, _) = inputs, outputs
         w = w[:, :, 0]  # (B, L); x and v are (B, H, 1)
         norm = 4.0 * v * w[:, None, :]  # (B, H, L)
-        return rows, x, v, -v, y[:, :, 0], w, norm, np.empty_like(norm), np.empty_like(norm)
+        B, H, L = norm.shape
+        left = right = None
+        if H > 1 and L > 1:
+            left, right = np.concatenate([x, np.ones_like(x)], axis=2), np.ones((B, 2, L))
+        return rows, x, v, -v, y[:, :, 0], w, norm, np.empty_like(norm), np.empty_like(norm), left, right
 
     def evaluate(self, alpha) -> ObjectiveValue:
         return self._value(*_check_alpha(2, alpha).tolist())
@@ -719,14 +805,17 @@ class CompiledIntervalLine(_Compiled):
     def _group_logs(self, a1, a2):
         # a flat enough slope is the constant model: the input interval is irrelevant
         flat = abs(a2) < self.A2_TOL * (1.0 + abs(a1))
-        for rows, x, v, neg_v, yb, w, norm, hi, lo in self.buckets:
+        for rows, x, v, neg_v, yb, w, norm, hi, lo, left, right in self.buckets:
             if flat:
                 terms = (np.abs(yb - a1) <= w) / (2.0 * w)  # (B, L)
                 lik = terms.mean(axis=1)
             else:
-                shift = (a1 - yb[:, None, :]) / a2  # (B, 1, L)
                 half = w[:, None, :] / abs(a2)
-                center = np.add(x, shift, out=hi)  # (B, H, L)
+                if left is None:
+                    center = np.add(x, (a1 - yb[:, None, :]) / a2, out=hi)  # (B, H, L)
+                else:
+                    np.divide(np.subtract(a1, yb, out=right[:, 1]), a2, out=right[:, 1])
+                    center = _pairwise(left, right, hi)
                 np.subtract(center, half, out=lo)
                 np.add(center, half, out=hi)
                 overlap = np.subtract(np.minimum(v, hi, out=hi), np.maximum(neg_v, lo, out=lo), out=hi)

@@ -442,6 +442,31 @@ def test_monte_carlo_point_mass_exact():
     assert got.value == pytest.approx(1.0439385332046727, abs=1e-12)
 
 
+def test_monte_carlo_override_keeps_the_same_draws():
+    # an input_scales override moves the same draws as the compile: it
+    # equals, bit for bit, a dataset built with those Gaussian scales, on its
+    # first call, after another override and after a plain evaluation
+    rng = np.random.default_rng(21)
+
+    def dataset(sigma):
+        return GroupedDataset(tuple(
+            Group(rng_x, rng_y, (ErrorDensity.gaussian(sigma), ErrorDensity.uniform(0.4)), (G1, G1))
+            for rng_x, rng_y in draws
+        ), 1, 1)
+
+    draws = [(rng.uniform(-1, 1, (2, 1)), rng.uniform(-1, 1, (2, 1))) for _ in range(3)]
+    cfg = IntegrationConfig(method=MONTE_CARLO, mc_samples=300, seed=4)
+    alpha = [0.1, 0.6]
+    want = CompiledObjective(dataset(0.5), LINE, cfg).evaluate(alpha).per_group_log
+    compiled = CompiledObjective(dataset(0.3), LINE, cfg)
+    got = [compiled.evaluate(alpha, input_scales=[0.5]).per_group_log]
+    compiled.evaluate(alpha, input_scales=[0.7])
+    compiled.evaluate(alpha)
+    got.append(compiled.evaluate(alpha, input_scales=[0.5]).per_group_log)
+    for logs in got:
+        assert logs.tobytes() == want.tobytes()
+
+
 # -- extended objective ----------------------------------------------------------
 
 
@@ -632,9 +657,11 @@ print(np.concatenate(logs).tobytes().hex())
 
 
 def test_evaluate_does_not_depend_on_blas_threads():
-    # every contraction of the general objective is an einsum, not a BLAS
-    # call, so its values are the same bytes at one and at two BLAS threads.
-    # The thread count is read when numpy loads: one fresh interpreter each
+    # every contraction of the general objective is an einsum, and its one
+    # BLAS call, the pairwise difference, adds one exact product to another
+    # (objective._pairwise), so its values are the same bytes at one and at
+    # two BLAS threads. The thread count is read when numpy loads: one fresh
+    # interpreter each
     root = os.path.dirname(os.path.dirname(objective.__file__))
     outputs = []
     for threads in ("1", "2"):
@@ -642,6 +669,41 @@ def test_evaluate_does_not_depend_on_blas_threads():
         probe = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, check=True)
         outputs.append(probe.stdout)
     assert len(outputs[0]) == 2 * 8 * 204 + 1
+    assert outputs[0] == outputs[1]
+
+
+_CLOSED_FORM_BLAS_PROBE = """
+import math
+import numpy as np
+from eivmix import generate_scenario, scenario_spec
+from eivmix.objective import CompiledGaussianPlane, CompiledIntervalLine
+
+logs = []
+spec = scenario_spec("A", R=3)
+ds = generate_scenario(spec, np.random.default_rng(0))
+gauss = CompiledGaussianPlane(ds, spec.sigma_eta, spec.sigma_eps)
+for alpha in ([0.0, 0.5], [1.0, 2.0], [math.inf, 1.0]):
+    logs.append(gauss.evaluate(alpha).per_group_log)
+interval = CompiledIntervalLine(generate_scenario(scenario_spec("D", R=3), np.random.default_rng(0)))
+for alpha in ([0.0, 0.5], [0.1, -0.7], [0.02, 0.0], [0.3, 1e-13], [50.0, 1.0]):
+    logs.append(interval.evaluate(alpha).per_group_log)
+print(np.concatenate(logs).tobytes().hex())
+"""
+
+
+def test_closed_forms_do_not_depend_on_blas_threads():
+    # the closed forms' one BLAS call beside x @ slopes is the pairwise
+    # difference, exact whatever the thread count; the interval points
+    # include a flat slope, a nearly flat one and a disjoint one
+    root = os.path.dirname(os.path.dirname(objective.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        probe = subprocess.run(
+            [sys.executable, "-c", _CLOSED_FORM_BLAS_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(probe.stdout)
+    assert len(outputs[0]) == 2 * 8 * 3 * 8 + 1
     assert outputs[0] == outputs[1]
 
 
@@ -795,6 +857,42 @@ def test_gaussian_variance_overflow_gives_inf_not_nan():
     for eta, eps in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             CompiledGaussianPlane(ds, [eta], eps)
+
+
+def _rescaled_gaussian_nll(ds, sigma_eta, sigma_eps, alpha) -> float:
+    # the line's Gaussian closed form with t = |a| sigma_eta factored out of
+    # the residual d and of V, so nothing overflows where a or sigma_eta is
+    # near 1e154 or beyond: u = (d/t)^2 / (2 V/t^2), log V = 2 log t + log(V/t^2)
+    a0, a = alpha
+    t = abs(a) * sigma_eta
+    v_t = 1.0 + (sigma_eps / t) ** 2
+    total = 0.0
+    for g in ds.groups:
+        d = (a0 / t + g.inputs[:, 0] * (a / t))[:, None] - g.outputs[:, 0][None, :] / t
+        e = -(d**2) / (2.0 * v_t)
+        log_sum = e.max() + math.log(np.exp(e - e.max()).sum())
+        total -= log_sum - math.log(d.size) - math.log(t) - 0.5 * math.log(v_t)
+    return total
+
+
+def test_gaussian_variance_near_overflow_is_finite():
+    # slopes**2 overflows at the first point and 2V at the second, though V
+    # and every u are finite: the first used to give +inf with an underflow
+    # note, the second 1064.3413, dropping every residual (u = d^2 / inf)
+    ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
+    for sigma_eta, alpha, want in ((0.3, [0.0, 2e154], 1079.4945665901), (10.0, [0.0, 1.2e153], 1064.3900384270)):
+        got = nll_gaussian_hyperplane(ds, [sigma_eta], 0.3, alpha)
+        assert got.note is None
+        assert got.value == pytest.approx(_rescaled_gaussian_nll(ds, sigma_eta, 0.3, alpha), rel=1e-12)
+        assert got.value == pytest.approx(want, rel=1e-12)
+    # sigma_eta^2 overflows here: times slope^2 = 1e-200 it used to give
+    # V = inf and +inf, times a slope^2 that underflows to 0 NaN, and a zero
+    # slope makes sigma_eta irrelevant
+    for slope in (1e-100, 1e-170):
+        got = nll_gaussian_hyperplane(ds, [1e200], 0.3, [0.0, slope])
+        assert got.value == pytest.approx(_rescaled_gaussian_nll(ds, 1e200, 0.3, [0.0, slope]), rel=1e-12)
+    flat = nll_gaussian_hyperplane(ds, [1.0], 0.3, [0.0, 0.0]).value
+    assert nll_gaussian_hyperplane(ds, [1e200], 0.3, [0.0, 0.0]).value == pytest.approx(flat, rel=1e-12)
 
 
 def _from_group_logs_reference(per_group_log):
