@@ -3,8 +3,11 @@
 A model is a pure function M(x; alpha) from R^k to R^m together with its
 parameter dimension. Three families: the k-d affine hyperplane (whose k = 1
 case, ``affine_kd(1)``, is the line), the 1-d polynomial, and a generic
-family wrapping a user-supplied evaluation hook (the only way to get m > 1).
+family wrapping a user-supplied batch hook (the only way to get m > 1).
 Every family but the generic one is linear in alpha.
+
+A generic hook ``eval_hook(alpha, xs)`` maps the whole (n, k) input block
+to the (n, m) output block, and gets read-only views of both arguments.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ class ParametricModel:
         if self.family not in (AFFINE_KD, POLYNOMIAL_1D, GENERIC):
             raise ValueError(f"unknown model family {self.family!r}")
         if self.family == GENERIC:
-            if self.eval_hook is None:
-                raise ValueError("generic family requires an eval hook")
+            if not callable(self.eval_hook):
+                raise ValueError("generic family requires a callable eval hook")
+        elif self.eval_hook is not None:
+            raise ValueError(f"{self.family} family takes no eval hook")
         elif self.output_dim != 1:
             raise ValueError(f"{self.family} family has a single output")
         elif self.family == AFFINE_KD and self.param_dim != self.input_dim + 1:
@@ -68,7 +73,7 @@ class ParametricModel:
         param_dim: int,
         eval_hook: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> "ParametricModel":
-        """Wrap a pure hook (alpha, x) -> y evaluated pointwise."""
+        """Wrap a pure batch hook (alpha, xs) -> ys, (n, k) inputs to (n, m) outputs."""
         return ParametricModel(
             GENERIC, input_dim, output_dim, param_dim, eval_hook=eval_hook
         )
@@ -92,8 +97,9 @@ def model_eval(model: ParametricModel, alpha, x) -> np.ndarray:
 def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray, out=None) -> np.ndarray:
     """Evaluate the model on a batch of inputs, shape (n, k) -> (n, m).
 
-    Affine and polynomial families are vectorized; the generic family falls
-    back to a per-row loop over its hook. ``out``, an (n, m) float array,
+    Affine and polynomial families are vectorized; the generic family calls
+    its hook once on read-only views of ``alpha`` and the whole block
+    ``xs``, and checks that it returned (n, m). ``out``, an (n, m) float array,
     receives the values when given and is returned, so a caller evaluating
     many times can reuse one buffer.
     """
@@ -114,12 +120,13 @@ def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray, out=None) ->
         for c in alpha[-2::-1]:
             np.add(np.multiply(y, xs[:, 0], out=y), c, out=y)
     else:
-        for i in range(xs.shape[0]):
-            yi = np.atleast_1d(np.asarray(model.eval_hook(alpha, xs[i]), dtype=float))
-            if yi.shape != (model.output_dim,):
-                raise ValueError(
-                    f"eval hook returned shape {yi.shape}, "
-                    f"expected ({model.output_dim},)"
-                )
-            out[i] = yi
+        alpha, xs = alpha.view(), xs.view()
+        alpha.flags.writeable = xs.flags.writeable = False
+        ys = np.asarray(model.eval_hook(alpha, xs), dtype=float)
+        if ys.shape != out.shape:
+            raise ValueError(
+                f"eval hook returned shape {ys.shape}, expected {out.shape}: "
+                "eval_hook(alpha, xs) maps the (n, k) input block to (n, m)"
+            )
+        out[...] = ys
     return out

@@ -51,6 +51,14 @@ def model_eval_scalar(model, alpha, s):
     return model_eval(model, alpha, [s])[0]
 
 
+def horner(a, xs):
+    """The polynomial family as a generic batch hook: Horner's steps, in its order."""
+    y = np.full(xs.shape[0], a[-1])
+    for c in a[-2::-1]:
+        y = y * xs[:, 0] + c
+    return y[:, None]
+
+
 def quad_oracle_value(ds, model, alpha, points=None):
     """Per-pair double-sum likelihood via scalar adaptive quadrature.
 

@@ -111,9 +111,7 @@ def test_ols_general_rank_deficient():
 
 def test_ols_general_generic_family():
     # nonlinear-in-alpha model solved numerically: y = exp(a x)
-    model = ParametricModel.generic(
-        1, 1, 1, lambda a, x: np.array([math.exp(a[0] * x[0])])
-    )
+    model = ParametricModel.generic(1, 1, 1, lambda a, xs: np.exp(a[0] * xs))
     x = np.linspace(0.1, 1.0, 12)
     y = np.exp(0.7 * x)
     res = ols_general(x[:, None], y[:, None], model)

@@ -101,8 +101,8 @@ def test_mixture_sum_matches_densities(case, data):
 def two_output_model(d):
     """A generic R^1 -> R^d model; only the generic family has two outputs."""
     if d == 1:
-        return ParametricModel.generic(1, 1, 3, lambda a, x: [a[0] + a[1] * x[0] + a[2] * x[0] ** 2])
-    return ParametricModel.generic(1, 2, 3, lambda a, x: [a[0] + a[1] * x[0], a[2] * x[0] - a[0]])
+        return ParametricModel.generic(1, 1, 3, lambda a, xs: a[0] + a[1] * xs + a[2] * xs ** 2)
+    return ParametricModel.generic(1, 2, 3, lambda a, xs: np.hstack([a[0] + a[1] * xs, a[2] * xs - a[0]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,7 +118,7 @@ def test_objective_matches_densities_at_model_values(case, data):
     floats = st.floats(-2.0, 2.0, allow_nan=False)
     alpha = np.array(data.draw(st.lists(floats, min_size=3, max_size=3)))
     x = np.array(data.draw(st.lists(floats, min_size=B * H, max_size=B * H))).reshape(B, H, 1)
-    vals = np.array([[model.eval_hook(alpha, xh) for xh in xb] for xb in x])  # (B, H, d)
+    vals = model.eval_hook(alpha, x.reshape(B * H, 1)).reshape(B, H, d)
     # move each group's first output so that its first node lies inside it
     centers[:, 0] = vals[:, 0] - near_first_component(data.draw, np.zeros_like(centers), scales)
     groups = tuple(

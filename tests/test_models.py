@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import horner
 
 from eivmix import ParametricModel
-from eivmix.models import AFFINE_KD, POLYNOMIAL_1D, model_eval, model_eval_batch
+from eivmix.models import AFFINE_KD, GENERIC, POLYNOMIAL_1D, model_eval, model_eval_batch
 
 
 def test_affine_1d():
@@ -38,8 +39,8 @@ def test_polynomial_1d():
 
 
 def test_generic_hook():
-    def hook(alpha, x):
-        return np.array([alpha[0] * np.sin(x[0]), alpha[1] + x[1]])
+    def hook(alpha, xs):
+        return np.column_stack([alpha[0] * np.sin(xs[:, 0]), alpha[1] + xs[:, 1]])
 
     m = ParametricModel.generic(2, 2, 2, hook)
     xs = np.array([[0.5, 1.0], [1.5, -1.0]])
@@ -49,9 +50,29 @@ def test_generic_hook():
 
 
 def test_generic_hook_shape_check():
-    m = ParametricModel.generic(1, 2, 1, lambda a, x: np.array([1.0]))
-    with pytest.raises(ValueError, match="hook returned"):
-        model_eval_batch(m, [0.0], np.array([[1.0]]))
+    # one output row, as a hook of a single point would return it, is not
+    # the (n, m) block the batch contract asks for
+    m = ParametricModel.generic(1, 2, 1, lambda a, x: np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"hook returned shape \(2,\), expected \(3, 2\).*\(n, k\)"):
+        model_eval_batch(m, [0.0], np.ones((3, 1)))
+
+
+def test_generic_hook_gets_read_only_arguments():
+    # a hook writing into alpha would move the caller's parameters (in fit, a
+    # simplex vertex); one writing into xs would move compiled nodes
+    def bump_alpha(a, xs):
+        a[1] += 1
+        return xs
+
+    def scale_xs(a, xs):
+        xs *= 2
+        return xs
+
+    alpha, xs = np.array([0.0, 0.5]), np.ones((3, 1))
+    for hook in (bump_alpha, scale_xs):
+        with pytest.raises(ValueError, match="read-only"):
+            model_eval_batch(ParametricModel.generic(1, 1, 2, hook), alpha, xs)
+    assert alpha.tolist() == [0.0, 0.5] and xs.tolist() == [[1.0]] * 3
 
 
 def test_validation():
@@ -70,17 +91,32 @@ def test_validation():
         ParametricModel(AFFINE_KD, 1, 2, 2)  # multi-output without hook
 
 
-@pytest.mark.parametrize("family, k, p, message", [
-    ("bogus", 1, 2, "unknown model family"),
-    (AFFINE_KD, 2, 2, "input_dim \\+ 1 parameters"),
-    (POLYNOMIAL_1D, 2, 3, "scalar inputs"),
+@pytest.mark.parametrize("family, k, p, message, hook", [
+    pytest.param("bogus", 1, 2, "unknown model family", None, id="bogus-1-2-unknown model family"),
+    pytest.param(AFFINE_KD, 2, 2, "input_dim \\+ 1 parameters", None,
+                 id="affine-kd-2-2-input_dim \\+ 1 parameters"),
+    pytest.param(POLYNOMIAL_1D, 2, 3, "scalar inputs", None, id="polynomial-1d-2-3-scalar inputs"),
+    # a hook the family would never call, and one that cannot be called
+    pytest.param(AFFINE_KD, 1, 2, "takes no eval hook", lambda a, xs: xs, id="affine-kd-with-hook"),
+    pytest.param(GENERIC, 1, 2, "callable eval hook", 1.0, id="generic-hook-not-callable"),
 ])
-def test_rejects_models_its_evaluator_cannot_honour(family, k, p, message):
+def test_rejects_models_its_evaluator_cannot_honour(family, k, p, message, hook):
     with pytest.raises(ValueError, match=message):
-        ParametricModel(family, k, 1, p)
+        ParametricModel(family, k, 1, p, eval_hook=hook)
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def affine(a, xs):
+    """The affine family's batch expression."""
+    return (np.matmul(xs, a[1:]) + a[0])[:, None]
+
+
+def generic_twin(model):
+    """A generic model whose batch hook computes the built-in family's expression."""
+    hook = horner if model.family == POLYNOMIAL_1D else affine
+    return ParametricModel.generic(model.input_dim, 1, model.param_dim, hook)
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,12 +124,14 @@ finite = st.floats(-1e3, 1e3, allow_nan=False)
 def test_eval_batch_into_out_is_exact(data):
     # writing into a reused buffer gives the bits of a fresh evaluation,
     # whatever the buffer held, and the polynomial's Horner steps in place
-    # are polyval's, in its order
-    model = data.draw(st.one_of(
+    # are polyval's, in its order; a generic batch hook computing a built-in
+    # family's expression in the same order gives that family's bits
+    builtin = data.draw(st.one_of(
         st.builds(ParametricModel.polynomial_1d, st.integers(0, 5)),
         st.just(ParametricModel.affine_1d()),
         st.builds(ParametricModel.affine_kd, st.integers(1, 4)),
     ))
+    model = data.draw(st.sampled_from([builtin, generic_twin(builtin)]))
     n = data.draw(st.integers(1, 40))
     xs = np.array(data.draw(st.lists(finite, min_size=n * model.input_dim, max_size=n * model.input_dim)))
     xs = xs.reshape(n, model.input_dim)
@@ -102,5 +140,6 @@ def test_eval_batch_into_out_is_exact(data):
     buf = np.full((n, 1), data.draw(st.sampled_from([np.nan, np.inf, -0.0, 7.0])))
     got = model_eval_batch(model, alpha, xs, out=buf)
     assert got is buf and got.tobytes() == want.tobytes()
-    if model.family == POLYNOMIAL_1D:
+    assert got.tobytes() == model_eval_batch(builtin, alpha, xs).tobytes()
+    if builtin.family == POLYNOMIAL_1D:
         np.testing.assert_array_equal(got[:, 0], np.polynomial.polynomial.polyval(xs[:, 0], alpha))

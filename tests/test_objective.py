@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quad_oracle_value, single_group
+from oracles import horner, quad_oracle_value, single_group
 
 from eivmix import (
     GAUSS_LINE,
@@ -531,6 +531,25 @@ def plane_r4():
     return generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec)
 
 
+def test_generic_batch_hook_keeps_the_built_in_cubic():
+    # a whole-block hook doing the polynomial family's Horner steps in its
+    # order gives the built-in's bits, and its fit, warm-started by
+    # Nelder-Mead from zero rather than by least squares, reaches the same
+    # optimum
+    spec = scenario_spec("cubic", R=200)
+    ds = generate_scenario(spec, np.random.default_rng(0))
+    poly = ParametricModel.polynomial_1d(3)
+    twin = ParametricModel.generic(1, 1, 4, horner)
+    cfg = IntegrationConfig()
+    built_in, generic = CompiledObjective(ds, poly, cfg), CompiledObjective(ds, twin, cfg)
+    for alpha in (spec.alpha, [0.1, 0.4, 0.05, -0.12]):
+        want = built_in.evaluate(alpha).per_group_log
+        assert generic.evaluate(alpha).per_group_log.tobytes() == want.tobytes()
+    want = fit(ds, poly, GENERAL, cfg, OptimizerConfig()).alpha_hat
+    got = fit(ds, twin, GENERAL, cfg, OptimizerConfig()).alpha_hat
+    np.testing.assert_allclose(got, want, atol=1e-4)
+
+
 def test_cached_nodes_match_rebuilt_nodes():
     # the nodes cached at compile time are the ones an input-scale override
     # rebuilds on every call; an override must neither see nor change them
@@ -1022,7 +1041,7 @@ def test_grid_budget_guard():
     d3 = ErrorDensity.gaussian([1.0, 1.0, 1.0])
     g = Group(np.zeros((1, 3)), np.zeros((1, 1)), (d3,), (G1,))
     ds = GroupedDataset((g,), 3, 1)
-    model = ParametricModel.generic(3, 1, 1, lambda a, x: np.array([a[0]]))
+    model = ParametricModel.generic(3, 1, 1, lambda a, xs: np.full((len(xs), 1), a[0]))
     with pytest.raises(ValueError, match="grid budget"):
         CompiledObjective(ds, model, IntegrationConfig(grid_points_per_dim=205))
 
