@@ -34,9 +34,10 @@ The three compiled objectives (``CompiledObjective``,
 ``CompiledGaussianPlane``, ``CompiledIntervalLine``) share one contract,
 kept in their base ``_Compiled``: compile once, bucketing the groups that
 share per-point density kinds; ``evaluate(alpha)`` returns an
-``ObjectiveValue`` and a call returns its value. One gate, ``_check_kinds``,
-rejects the density kinds an objective cannot take, naming the first
-offending group, its side and its kind.
+``ObjectiveValue`` and a call returns its value. Compiling runs one gate,
+``_check_kinds``, on the density kinds each class declares in ``_kinds``:
+it rejects the kinds an objective cannot take, naming the first offending
+group, its side and its kind.
 """
 
 from __future__ import annotations
@@ -421,8 +422,10 @@ def _check_kinds(ds: GroupedDataset, inputs, outputs, why: str) -> None:
 class _Compiled:
     """The contract every compiled objective shares (see the module docstring).
 
-    A subclass's ``__init__`` calls ``_compile``, which builds one bucket per
-    ``_buckets`` entry with the subclass's ``_bucket(rows, inputs, outputs)``.
+    A subclass declares ``_kinds = (input kinds, output kinds, why)``; its
+    ``__init__`` calls ``_compile``, which passes them to ``_check_kinds``,
+    then builds one bucket per ``_buckets`` entry with the subclass's
+    ``_bucket(rows, inputs, outputs)``.
     Its ``evaluate`` checks the arguments and returns ``_value(*args)``,
     which writes the per-group logs that the generator ``_group_logs(*args)``
     yields as (rows, logs), bucket by bucket, under one ``np.errstate``:
@@ -436,6 +439,7 @@ class _Compiled:
     """
 
     def _compile(self, ds: GroupedDataset) -> None:
+        _check_kinds(ds, *self._kinds)
         self.n_groups = ds.n_groups
         self.buckets = [self._bucket(*bucket) for bucket in _buckets(ds)]
 
@@ -500,11 +504,11 @@ class CompiledObjective(_Compiled):
     """
 
     _bucket = _Bucket
+    _kinds = (KINDS, (GAUSSIAN, UNIFORM),
+              "the output mixture cannot be evaluated (sifting applies to inputs only)")
 
     def __init__(self, ds: GroupedDataset, model: ParametricModel, cfg: IntegrationConfig):
         _check_model_dims(ds, model)
-        why = "the output mixture cannot be evaluated (sifting applies to inputs only)"
-        _check_kinds(ds, KINDS, (GAUSSIAN, UNIFORM), why)
         self.ds = ds
         self.model = model
         self.cfg = cfg
@@ -636,23 +640,6 @@ def nll_general(
     return CompiledObjective(ds, model, cfg).evaluate(alpha, input_scales, output_scales)
 
 
-# -- shared-scale extraction ------------------------------------------------
-
-
-def shared_gaussian_scales(ds: GroupedDataset) -> tuple:
-    """Shared per-coordinate Gaussian scales (input vector, output vector).
-
-    Raises if any density is not Gaussian or scales differ across points;
-    the closed-form Gaussian objective requires this homogeneity.
-    """
-    why = "the Gaussian closed form requires gaussian-diagonal errors on both sides"
-    _check_kinds(ds, (GAUSSIAN,), (GAUSSIAN,), why)
-    for side, scales in (("input", ds.input_scales), ("output", ds.output_scales)):
-        if not np.all(scales == scales[0]):
-            raise ValueError(f"{side} densities must share one scale vector")
-    return ds.input_scales[0].copy(), ds.output_scales[0].copy()
-
-
 # -- Gaussian closed form -----------------------------------------------------
 
 
@@ -669,24 +656,26 @@ class CompiledGaussianPlane(_Compiled):
     (alpha sigma_eta)^2 and each exponent from (d / sqrt(2V))^2, so a
     finite likelihood stays finite.
 
-    The scales are arguments (one sigma_eta for the line), not read from the
-    dataset's densities. Each bucket keeps one (B, H, L) buffer, and where
-    both H and L exceed 1 the residuals d = pred - y are written into it as
-    a two-column product (``_pairwise``) from the constant [1; y] and a
-    kept [pred, -1] whose first column takes each evaluation's predictions.
+    The scales are the dataset's: every density on both sides must be
+    Gaussian, and each side's must share one scale vector, sigma_eta (one
+    per input) and sigma_eps. Each bucket keeps one (B, H, L) buffer, and
+    where both H and L exceed 1 the residuals d = pred - y are written into
+    it as a two-column product (``_pairwise``) from the constant [1; y] and
+    a kept [pred, -1] whose first column takes each evaluation's predictions.
     """
 
-    def __init__(self, ds: GroupedDataset, sigma_eta, sigma_eps: float):
+    _kinds = ((GAUSSIAN,), (GAUSSIAN,),
+              "the Gaussian closed form requires gaussian-diagonal errors on both sides")
+
+    def __init__(self, ds: GroupedDataset):
         if ds.output_dim != 1:
             raise ValueError("closed form requires a single output coordinate")
-        sigma_eta = np.atleast_1d(np.asarray(sigma_eta, dtype=float))
-        if sigma_eta.shape != (ds.input_dim,):
-            raise ValueError(
-                f"sigma_eta has shape {sigma_eta.shape}, expected ({ds.input_dim},)"
-            )
-        if not (np.all((sigma_eta > 0) & (sigma_eta < math.inf)) and 0 < sigma_eps < math.inf):
-            raise ValueError("sigmas must be finite and > 0")
-        self.sigma_eta = sigma_eta
+        self._compile(ds)
+        for side, scales in (("input", ds.input_scales), ("output", ds.output_scales)):
+            if not np.all(scales == scales[0]):
+                raise ValueError(f"{side} densities must share one scale vector")
+        self.sigma_eta = sigma_eta = ds.input_scales[0]
+        sigma_eps = float(ds.output_scales[0, 0])
         # the squares of huge scales overflow to inf; inf times a zero slope
         # would be NaN, so such a sigma_eta always takes the rescaled V
         with np.errstate(over="ignore"):
@@ -694,7 +683,6 @@ class CompiledGaussianPlane(_Compiled):
         self.huge_eta = not np.all(self.var_eta < math.inf)
         if self.var_eps == 0.0:
             raise ValueError(f"sigma_eps = {sigma_eps!r} is too small: its square underflows to 0")
-        self._compile(ds)
 
     @staticmethod
     def _bucket(rows, inputs, outputs):
@@ -747,17 +735,15 @@ class CompiledGaussianPlane(_Compiled):
             yield rows, np.log(total) - umin - log_hl - half_log_v
 
 
-def nll_gaussian_hyperplane(
-    ds: GroupedDataset, sigma_eta, sigma_eps: float, alpha
-) -> ObjectiveValue:
+def nll_gaussian_hyperplane(ds: GroupedDataset, alpha) -> ObjectiveValue:
     """Closed-form objective for the affine model with Gaussian errors.
 
-    ``sigma_eta`` has one scale per input, ``[sigma_eta]`` for the line. For
-    fully paired data on the line the value is exactly
+    The scales are the dataset's (see CompiledGaussianPlane). For fully
+    paired data on the line the value is exactly
     (L/2) log(alpha_2^2 sigma_eta^2 + sigma_eps^2) + sum_l d_l^2 / (2 V)
     with d_l the line residuals.
     """
-    return CompiledGaussianPlane(ds, sigma_eta, sigma_eps).evaluate(alpha)
+    return CompiledGaussianPlane(ds).evaluate(alpha)
 
 
 # -- interval (uniform) closed form -------------------------------------------
@@ -780,12 +766,12 @@ class CompiledIntervalLine(_Compiled):
     """
 
     A2_TOL = 1e-12
+    _kinds = ((UNIFORM,), (UNIFORM,),
+              "the interval closed form requires uniform-box errors on both sides")
 
     def __init__(self, ds: GroupedDataset):
         if ds.input_dim != 1 or ds.output_dim != 1:
             raise ValueError("interval closed form requires scalar inputs and outputs")
-        why = "the interval closed form requires uniform-box errors on both sides"
-        _check_kinds(ds, (UNIFORM,), (UNIFORM,), why)
         self._compile(ds)
 
     @staticmethod

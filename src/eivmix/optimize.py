@@ -26,7 +26,6 @@ from .objective import (
     CompiledObjective,
     IntegrationConfig,
     _check_model_dims,
-    shared_gaussian_scales,
 )
 
 GENERAL = "general"
@@ -172,8 +171,7 @@ def _build_objective(
     _check_model_dims(ds, model)
     if objective_choice == INTERVAL_LINE:
         return CompiledIntervalLine(ds)
-    eta, eps = shared_gaussian_scales(ds)
-    return CompiledGaussianPlane(ds, eta, float(eps[0]))
+    return CompiledGaussianPlane(ds)
 
 
 def fit(

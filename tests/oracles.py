@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from eivmix import Group, GroupedDataset
+from eivmix import ErrorDensity, Group, GroupedDataset
 from eivmix.densities import GAUSSIAN, POINT_MASS
 from eivmix.models import model_eval
 
@@ -20,6 +20,14 @@ def single_group(x, y, din, dout):
     y = np.asarray(y, dtype=float).reshape(len(y), -1)
     g = Group(x, y, (din,) * x.shape[0], (dout,) * y.shape[0])
     return GroupedDataset((g,), x.shape[1], y.shape[1])
+
+
+def gaussian_twin(ds, sigma_eta, sigma_eps):
+    """``ds``'s points and groups, with the Gaussian density of scales
+    ``sigma_eta`` at every input and of scale ``sigma_eps`` at every output."""
+    din, dout = ErrorDensity.gaussian(sigma_eta), ErrorDensity.gaussian(sigma_eps)
+    groups = (Group(g.inputs, g.outputs, (din,) * g.n_inputs, (dout,) * g.n_outputs) for g in ds.groups)
+    return GroupedDataset(groups, ds.input_dim, ds.output_dim)
 
 
 def density_eval(density, s) -> float:

@@ -83,7 +83,7 @@ def random_grouped_instance(rng, k, sigma_lo, sigma_hi, spread=0.3):
         )[:, None]
         groups.append(Group(x, y, (din,) * h, (dout,) * l))
     ds = GroupedDataset(tuple(groups), k, 1)
-    return ds, sigma_eta, sigma_eps, alpha_true
+    return ds, alpha_true
 
 
 def test_criterion_01_closed_form_matches_quadrature():
@@ -93,11 +93,9 @@ def test_criterion_01_closed_form_matches_quadrature():
     fine = IntegrationConfig(grid_points_per_dim=2001, grid_halfwidth_sigmas=25.0)
     worst_line = 0.0
     for _ in range(20):
-        ds, sigma_eta, sigma_eps, alpha_true = random_grouped_instance(
-            rng, 1, 0.1, 0.5
-        )
+        ds, alpha_true = random_grouped_instance(rng, 1, 0.1, 0.5)
         alpha = alpha_true + rng.uniform(-0.5, 0.5, 2)
-        closed = nll_gaussian_hyperplane(ds, [float(sigma_eta[0])], sigma_eps, alpha).value
+        closed = nll_gaussian_hyperplane(ds, alpha).value
         closed += ds.n_groups * GAUSS_LOG_NORM_PER_GROUP
         general = nll_general(ds, LINE, fine, alpha).value
         worst_line = max(worst_line, abs(closed - general) / (1.0 + abs(general)))
@@ -105,11 +103,9 @@ def test_criterion_01_closed_form_matches_quadrature():
     grid61 = IntegrationConfig(grid_points_per_dim=61, grid_halfwidth_sigmas=10.0)
     worst_plane = 0.0
     for _ in range(20):
-        ds, sigma_eta, sigma_eps, alpha_true = random_grouped_instance(
-            rng, 2, 0.3, 0.4
-        )
+        ds, alpha_true = random_grouped_instance(rng, 2, 0.3, 0.4)
         alpha = alpha_true + rng.uniform(-0.05, 0.05, 3)
-        closed = nll_gaussian_hyperplane(ds, sigma_eta, sigma_eps, alpha).value
+        closed = nll_gaussian_hyperplane(ds, alpha).value
         closed += ds.n_groups * GAUSS_LOG_NORM_PER_GROUP
         general = nll_general(ds, plane, grid61, alpha).value
         worst_plane = max(worst_plane, abs(closed - general) / (1.0 + abs(general)))
@@ -253,7 +249,7 @@ def test_criterion_04_deming_oracle_and_decomposition():
             v = alpha[1] ** 2 * sigma_eta**2 + sigma_eps**2
             ss = float(np.sum((alpha[0] + alpha[1] * x - y) ** 2) / (2.0 * v))
             pen = integrated_deming_penalty(alpha[1], sigma_eta, sigma_eps, n)
-            nll = nll_gaussian_hyperplane(ds, [sigma_eta], sigma_eps, alpha).value
+            nll = nll_gaussian_hyperplane(ds, alpha).value
             worst_ident = max(worst_ident, abs(nll - ss - pen))
     dt = time.perf_counter() - t0
     ok = worst_fit <= 1e-6 and worst_ident <= 1e-12 and dt < 20.0
@@ -442,7 +438,7 @@ def test_criterion_09_monte_carlo_estimator():
     ds = generate_scenario(spec, np.random.default_rng(314159))
     alpha = np.asarray(spec.alpha)
     closed = (
-        nll_gaussian_hyperplane(ds, [0.2], 0.2, alpha).value
+        nll_gaussian_hyperplane(ds, alpha).value
         + ds.n_groups * GAUSS_LOG_NORM_PER_GROUP
     )
     draws = {}

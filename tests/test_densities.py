@@ -74,6 +74,10 @@ def test_validation_errors():
         ErrorDensity.gaussian(-1.0)
     with pytest.raises(ValueError):
         ErrorDensity.uniform([1.0, np.inf])
+    # the Gaussian closed form relies on this guard for its finite scales
+    for scale in (np.inf, np.nan, [1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ErrorDensity.gaussian(scale)
     with pytest.raises(ValueError):
         ErrorDensity(GAUSSIAN, np.array([1.0, 1.0]), 3)
     with pytest.raises(ValueError):

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from eivmix import MONTE_CARLO, ErrorDensity, GroupedDataset, IntegrationConfig, build_grouped
 from eivmix.dataset import cross_pair_expansion
 from eivmix.models import ParametricModel
-from eivmix.objective import (
-    CompiledGaussianPlane,
-    CompiledIntervalLine,
-    CompiledObjective,
-    shared_gaussian_scales,
-)
+from eivmix.objective import CompiledGaussianPlane, CompiledIntervalLine, CompiledObjective
 
 G = ErrorDensity.gaussian(0.3)
 G2 = ErrorDensity.gaussian(0.5)
@@ -71,16 +66,11 @@ def _per_group_logs(ds, alpha):
             ds, LINE, IntegrationConfig(method=MONTE_CARLO, mc_samples=100, seed=3)
         ).evaluate(alpha),
     ]
-    try:
-        eta, eps = shared_gaussian_scales(ds)
-    except ValueError:
-        pass
-    else:
-        logs.append(CompiledGaussianPlane(ds, eta, float(eps[0])).evaluate(alpha))
-    try:
-        logs.append(CompiledIntervalLine(ds).evaluate(alpha))
-    except ValueError:
-        pass
+    for closed_form in (CompiledGaussianPlane, CompiledIntervalLine):
+        try:
+            logs.append(closed_form(ds).evaluate(alpha))
+        except ValueError:
+            pass
     return [v.per_group_log for v in logs]
 
 

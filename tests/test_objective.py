@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import horner, quad_oracle_value, single_group
+from oracles import gaussian_twin, horner, quad_oracle_value, single_group
 
 from eivmix import (
     GAUSS_LINE,
@@ -35,7 +35,6 @@ from eivmix.objective import (
     CompiledGaussianPlane,
     CompiledIntervalLine,
     CompiledObjective,
-    shared_gaussian_scales,
 )
 from eivmix import PairedDataset, generate_scenario, scenario_spec
 from eivmix.optimize import _build_objective
@@ -64,7 +63,7 @@ def test_single_pair_gaussian_frozen():
 def test_closed_form_constant_identity():
     # closed form + R * 0.5 log(2 pi) = fully normalized objective
     ds = single_group([0.0], [0.0], G1, G1)
-    closed = nll_gaussian_hyperplane(ds, [1.0], 1.0, [0.0, 1.0])
+    closed = nll_gaussian_hyperplane(ds, [0.0, 1.0])
     assert closed.value == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
     general = nll_general(ds, LINE, FINE, [0.0, 1.0])
     assert general.value == pytest.approx(
@@ -234,7 +233,7 @@ def test_gaussian_line_paired_formula():
     v = alpha[1] ** 2 * sigma_eta**2 + sigma_eps**2
     resid = alpha[0] + alpha[1] * xs - ys
     want = 0.5 * len(xs) * math.log(v) + float(np.sum(resid**2)) / (2.0 * v)
-    got = nll_gaussian_hyperplane(ds, [sigma_eta], sigma_eps, alpha)
+    got = nll_gaussian_hyperplane(ds, alpha)
     assert got.value == pytest.approx(want, rel=1e-13)
 
 
@@ -256,7 +255,7 @@ def test_gaussian_plane_matches_general():
         )
     ds = GroupedDataset(tuple(groups), k, 1)
     alpha = np.array([0.1, -0.4, 0.3])
-    closed = nll_gaussian_hyperplane(ds, [0.5, 0.8], 0.6, alpha)
+    closed = nll_gaussian_hyperplane(ds, alpha)
     cfg = IntegrationConfig(grid_points_per_dim=201)
     general = nll_general(ds, ParametricModel.affine_kd(k), cfg, alpha)
     want = closed.value + ds.n_groups * GAUSS_LOG_NORM_PER_GROUP
@@ -264,12 +263,13 @@ def test_gaussian_plane_matches_general():
 
 
 def test_shared_scale_extractors():
+    # the Gaussian closed form reads its scales from the dataset's densities
     ds = single_group([0.0], [0.0], ErrorDensity.gaussian(0.3), ErrorDensity.gaussian(0.7))
-    eta, eps = shared_gaussian_scales(ds)
-    np.testing.assert_allclose(eta, [0.3])
-    np.testing.assert_allclose(eps, [0.7])
+    compiled = CompiledGaussianPlane(ds)
+    np.testing.assert_allclose(compiled.sigma_eta, [0.3])
+    assert compiled.var_eps == 0.7**2
     with pytest.raises(ValueError, match="gaussian"):
-        shared_gaussian_scales(
+        CompiledGaussianPlane(
             single_group([0.0], [0.0], ErrorDensity.uniform(1.0), ErrorDensity.gaussian(1.0))
         )
     # differing scales across points are rejected
@@ -280,7 +280,7 @@ def test_shared_scale_extractors():
         (ErrorDensity.gaussian(1.0), ErrorDensity.gaussian(1.0)),
     )
     with pytest.raises(ValueError, match="share"):
-        shared_gaussian_scales(GroupedDataset((g,), 1, 1))
+        CompiledGaussianPlane(GroupedDataset((g,), 1, 1))
 
 
 def test_interval_requires_uniform():
@@ -374,8 +374,10 @@ def test_buffered_closed_forms_are_exact(k, sizes, seed, drawn):
     # drawn points, then the first point again
     fixed = [[0.2, 0.7, -0.4], [0.2, -0.7, 0.4], [0.5, 0.0, 0.0], [0.5, 1e-13, 0.0], [30.0, 1e-3, 1e-3]]
     calls = [a[: k + 1] for a in fixed + drawn + fixed[:1]]
+    # the Gaussian form takes Gaussian densities at the same points
     sigma_eta = [0.3] * k
-    objectives = [(CompiledGaussianPlane(ds, sigma_eta, 0.5), lambda a: _gauss_plane_reference(ds, sigma_eta, 0.5, a))]
+    gauss_ds = gaussian_twin(ds, sigma_eta, 0.5)
+    objectives = [(CompiledGaussianPlane(gauss_ds), lambda a: _gauss_plane_reference(gauss_ds, sigma_eta, 0.5, a))]
     if k == 1:
         objectives.append((CompiledIntervalLine(ds), lambda a: _interval_line_reference(ds, a)))
     kept = []
@@ -700,7 +702,7 @@ from eivmix.objective import CompiledGaussianPlane, CompiledIntervalLine
 logs = []
 spec = scenario_spec("A", R=3)
 ds = generate_scenario(spec, np.random.default_rng(0))
-gauss = CompiledGaussianPlane(ds, spec.sigma_eta, spec.sigma_eps)
+gauss = CompiledGaussianPlane(ds)
 for alpha in ([0.0, 0.5], [1.0, 2.0], [math.inf, 1.0]):
     logs.append(gauss.evaluate(alpha).per_group_log)
 interval = CompiledIntervalLine(generate_scenario(scenario_spec("D", R=3), np.random.default_rng(0)))
@@ -750,7 +752,7 @@ for name in ("D", "A"):
     if name == "D":
         compiled = CompiledIntervalLine(ds)
     else:
-        compiled = CompiledGaussianPlane(ds, spec.sigma_eta, spec.sigma_eps)
+        compiled = CompiledGaussianPlane(ds)
     alpha = np.asarray(spec.alpha, dtype=float)
     for _ in range(2):
         compiled.evaluate(alpha)
@@ -868,14 +870,11 @@ def test_gaussian_variance_overflow_gives_inf_not_nan():
     # which used to give inf - inf = NaN. The interval form is +inf there too
     ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
     for alpha in ([0.0, 1e200], [1e300, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
-        got = nll_gaussian_hyperplane(ds, [0.3], 0.3, alpha)
+        got = nll_gaussian_hyperplane(gaussian_twin(ds, 0.3, 0.3), alpha)
         assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
         assert np.all(got.per_group_log == -math.inf)
     for eta, eps in ((1e200, 1.0), (1.0, 1e200)):
-        assert nll_gaussian_hyperplane(ds, [eta], eps, [0.0, 1.0]).value == math.inf
-    for eta, eps in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="finite"):
-            CompiledGaussianPlane(ds, [eta], eps)
+        assert nll_gaussian_hyperplane(gaussian_twin(ds, eta, eps), [0.0, 1.0]).value == math.inf
 
 
 def _rescaled_gaussian_nll(ds, sigma_eta, sigma_eps, alpha) -> float:
@@ -900,7 +899,7 @@ def test_gaussian_variance_near_overflow_is_finite():
     # note, the second 1064.3413, dropping every residual (u = d^2 / inf)
     ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
     for sigma_eta, alpha, want in ((0.3, [0.0, 2e154], 1079.4945665901), (10.0, [0.0, 1.2e153], 1064.3900384270)):
-        got = nll_gaussian_hyperplane(ds, [sigma_eta], 0.3, alpha)
+        got = nll_gaussian_hyperplane(gaussian_twin(ds, sigma_eta, 0.3), alpha)
         assert got.note is None
         assert got.value == pytest.approx(_rescaled_gaussian_nll(ds, sigma_eta, 0.3, alpha), rel=1e-12)
         assert got.value == pytest.approx(want, rel=1e-12)
@@ -908,10 +907,10 @@ def test_gaussian_variance_near_overflow_is_finite():
     # V = inf and +inf, times a slope^2 that underflows to 0 NaN, and a zero
     # slope makes sigma_eta irrelevant
     for slope in (1e-100, 1e-170):
-        got = nll_gaussian_hyperplane(ds, [1e200], 0.3, [0.0, slope])
+        got = nll_gaussian_hyperplane(gaussian_twin(ds, 1e200, 0.3), [0.0, slope])
         assert got.value == pytest.approx(_rescaled_gaussian_nll(ds, 1e200, 0.3, [0.0, slope]), rel=1e-12)
-    flat = nll_gaussian_hyperplane(ds, [1.0], 0.3, [0.0, 0.0]).value
-    assert nll_gaussian_hyperplane(ds, [1e200], 0.3, [0.0, 0.0]).value == pytest.approx(flat, rel=1e-12)
+    flat = nll_gaussian_hyperplane(gaussian_twin(ds, 1.0, 0.3), [0.0, 0.0]).value
+    assert nll_gaussian_hyperplane(gaussian_twin(ds, 1e200, 0.3), [0.0, 0.0]).value == pytest.approx(flat, rel=1e-12)
 
 
 def _from_group_logs_reference(per_group_log):
@@ -963,18 +962,24 @@ def test_every_objective_checks_alpha_length(bad):
     for evaluate in (
         lambda a: nll_general(d_ds, LINE, IntegrationConfig(), a),
         lambda a: likelihood_interval_line(d_ds, a),
-        lambda a: nll_gaussian_hyperplane(a_ds, [0.2], 0.2, a),
+        lambda a: nll_gaussian_hyperplane(a_ds, a),
     ):
         with pytest.raises(ValueError, match=message):
             evaluate(bad)
 
 
 def test_every_objective_names_the_group_side_and_kind_it_rejects():
-    # one gate checks the density kinds of all three objectives: group 1's
-    # second member has a wrong kind on one side, and the error names that
-    # group, the side and the kind. The general objective takes every input
-    # kind, so only its output side can be wrong
+    # one gate checks the density kinds of all three objectives, whether
+    # built for a fit or constructed directly: group 1's second member has a
+    # wrong kind on one side, and the error names that group, the side and
+    # the kind. The general objective takes every input kind, so only its
+    # output side can be wrong
     gauss, unif, pm = ErrorDensity.gaussian(0.3), ErrorDensity.uniform(0.3), ErrorDensity.point_mass(1)
+    direct = {
+        GENERAL: lambda ds: CompiledObjective(ds, LINE, IntegrationConfig()),
+        GAUSS_LINE: CompiledGaussianPlane,
+        INTERVAL_LINE: CompiledIntervalLine,
+    }
     for choice, good, bad, side in (
         (GENERAL, gauss, pm, "output"),
         (GAUSS_LINE, gauss, unif, "input"),
@@ -988,8 +993,16 @@ def test_every_objective_names_the_group_side_and_kind_it_rejects():
             ins, outs = (members, (good, good)) if side == "input" else ((good, good), members)
             groups.append(Group(np.array([[0.0], [1.0]]), np.array([[0.5], [1.5]]), ins, outs))
         ds = GroupedDataset(tuple(groups), 1, 1)
-        with pytest.raises(ValueError, match=rf"^group 1 has a {bad.kind} {side} density; "):
-            _build_objective(ds, LINE, choice, IntegrationConfig())
+        for build in (lambda ds: _build_objective(ds, LINE, choice, IntegrationConfig()), direct[choice]):
+            with pytest.raises(ValueError, match=rf"^group 1 has a {bad.kind} {side} density; "):
+                build(ds)
+    d_ds = generate_scenario(scenario_spec("D", R=3), np.random.default_rng(0))
+    message = (
+        "group 0 has a uniform-box input density; "
+        "the Gaussian closed form requires gaussian-diagonal errors on both sides"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nll_gaussian_hyperplane(d_ds, [0.0, 0.5])
 
 
 def test_gaussian_rejects_sigma_eps_whose_square_underflows():
@@ -997,14 +1010,14 @@ def test_gaussian_rejects_sigma_eps_whose_square_underflows():
     # "math domain error"; V >= sigma_eps^2 > 0 once such a scale is rejected
     ds = generate_scenario(scenario_spec("A", R=3), np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"sigma_eps = 1e-200 is too small: its square underflows to 0"):
-        CompiledGaussianPlane(ds, [1e-200], 1e-200)
+        CompiledGaussianPlane(gaussian_twin(ds, 1e-200, 1e-200))
     tiny = ErrorDensity.gaussian(1e-200)
     paired = as_grouped(PairedDataset.from_arrays(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]), tiny, tiny))
     with pytest.raises(ValueError, match="sigma_eps"):
         fit(paired, LINE, GAUSS_LINE, IntegrationConfig(), OptimizerConfig())
     # a subnormal square is still > 0: every residual's exponent overflows,
     # and the value is +inf with a note, without NaN or a warning
-    got = CompiledGaussianPlane(ds, [1e-200], 1e-160).evaluate([0.0, 1.0])
+    got = CompiledGaussianPlane(gaussian_twin(ds, 1e-200, 1e-160)).evaluate([0.0, 1.0])
     assert got.value == math.inf and got.note == "likelihood underflow in groups [0, 1, 2]"
 
 

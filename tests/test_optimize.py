@@ -110,7 +110,7 @@ def test_fit_warm_start_and_improvement():
     # the descent never ends above its warm start
     from eivmix.objective import CompiledGaussianPlane
 
-    start_val = CompiledGaussianPlane(ds, [0.1], 0.1)(res.warm_start)
+    start_val = CompiledGaussianPlane(ds)(res.warm_start)
     assert res.objective_at_min <= start_val + 1e-12
 
 
@@ -219,7 +219,7 @@ def test_objective_surface_grid():
     # spot-check one cell against a direct evaluation
     from eivmix.objective import CompiledGaussianPlane
 
-    direct = CompiledGaussianPlane(ds, [0.1], 0.1)([0.0, -1.0])
+    direct = CompiledGaussianPlane(ds)([0.0, -1.0])
     assert grid.values[1, 2] == pytest.approx(direct, rel=1e-12)
     i, j = grid.argmin
     assert grid.values[i, j] == grid.values.min()

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 import warnings
@@ -33,7 +34,6 @@ MODULE_ONLY = {
         "CompiledGaussianPlane",
         "CompiledIntervalLine",
         "CompiledObjective",
-        "shared_gaussian_scales",
     ],
     "eivmix.optimize": ["nelder_mead"],
 }
@@ -93,6 +93,13 @@ def test_module_only_names():
         for name in names:
             assert hasattr(owner, name), (module, name)
             assert name not in eivmix.__all__, name
+
+
+def test_closed_forms_take_only_the_data_and_alpha():
+    # the error model is the dataset's densities: a closed form taking
+    # scales beside them could evaluate data its kinds gate never saw
+    for closed_form in (eivmix.nll_gaussian_hyperplane, eivmix.likelihood_interval_line):
+        assert list(inspect.signature(closed_form).parameters) == ["ds", "alpha"], closed_form.__name__
 
 
 def test_traced_names_resolve_and_no_traced_class_inherits_another():
