@@ -176,7 +176,11 @@ def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple
     distance from zero. A uniform plane holds the half-width and the center.
     Scales and centers have shape (B, C, 1), but where every component of a
     group shares a coordinate's scale, that scale collapses to (B, 1, 1), so
-    ``_kernel`` scales each node once instead of once per component.
+    ``_kernel`` scales each node once instead of once per component, and to
+    (1, 1, 1) where every group of the bucket shares it too. Where C is 1,
+    an inv_norm that every group shares is one float instead. A per-group
+    operand costs a numpy loop per group, a bucket-wide one a single loop
+    over the block; the values are the same.
     pair is ``_pairwise``'s left operand [center, -1] (B, C, 2) where
     ``_kernel`` forms center - node as a product: a uniform plane, or a
     Gaussian one with a collapsed scale, of more than one component.
@@ -184,6 +188,8 @@ def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple
     """
     gaussian = kind == GAUSSIAN
     inv_norm = 1.0 / np.prod(scales * (_SQRT_2PI if gaussian else 2.0), axis=-1)
+    if inv_norm.shape[1] == 1 and np.all(inv_norm == inv_norm[0]):
+        inv_norm = float(inv_norm[0, 0])
     planes = []
     for j in range(centers.shape[2]):
         s, c = scales[:, :, j, None], centers[:, :, j, None]
@@ -191,7 +197,9 @@ def _kind_constants(kind: str, centers: np.ndarray, scales: np.ndarray) -> tuple
         if gaussian:
             s = 1.0 / (math.sqrt(2.0) * s)
             c = (c - o) * s
-        if np.all(s == s[:, :1]):
+        if np.all(s == s[:1, :1]):
+            s = s[:1, :1]
+        elif np.all(s == s[:, :1]):
             s = s[:, :1]
         pair = None
         if c.shape[1] > 1 and (s.shape[1] == 1 or not gaussian):
@@ -214,21 +222,29 @@ def _kernel(kind: str, planes: list, coords: list, out, tmp, node) -> np.ndarray
     combined plane by plane, so no temporary has a coordinate axis. Each
     Gaussian coordinate costs a difference, a square and, with the exp, a
     negation; the difference is a two-column product wherever both the
-    component and the node axis are longer than 1.
+    component and the node axis are longer than 1. A one-component Gaussian
+    plane's center is its own origin, so center_j is exactly 0 and its
+    difference is -scale_j (p_j - origin_j): that product is written straight
+    into the term buffer and squared in place, the same square, NaN
+    included, without the node row and the subtraction.
     """
     gaussian = kind == GAUSSIAN
     row = node[:, -1:]
     for j, ((o, s, c, pair), p) in enumerate(zip(planes, coords)):
         z = tmp if j else out
         product = pair is not None and row.shape[2] > 1
-        if gaussian:
+        lone = gaussian and c.shape[1] == 1
+        if lone:
+            # the one center is the origin: c - (p - o) s = -(p - o) s, of equal square
+            np.multiply(np.subtract(p, o, out=z), s, out=z)
+        elif gaussian:
             # a collapsed scale scales each node once, not once per component
             p = np.multiply(np.subtract(p, o, out=row), s, out=row if s.shape[1] == 1 else z)
         elif product:
             row[...] = p
         if product:
             _pairwise(pair, node, z)
-        else:
+        elif not lone:
             np.subtract(c, p, out=z)
         if gaussian:
             np.square(z, out=z)
@@ -259,9 +275,11 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
     are evaluated together by ``_kernel`` from the constants of
     ``_kind_constants``, whose scale has one entry per group where the
     group's components share it, and one einsum per kind applies the
-    normalisers, adding each node's components in order. Point-mass
-    components are never listed: they enter through the sifting nodes, not
-    as a numeric density.
+    normalisers, adding each node's components in order. Where a kind's
+    normaliser is one float (one component, every group's the same), a
+    multiply applies it: the einsum would add t n to 0, which is exactly
+    t n. Point-mass components are never listed: they enter through the
+    sifting nodes, not as a numeric density.
 
     The node axis is processed in blocks of about _BLOCK doubles per
     (B, C, nb) temporary. A block is never one node wide unless n is 1:
@@ -291,7 +309,7 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
         )
     if ws.get("scales") is not scales:
         ws["scales"] = scales
-        ws["kinds"] = [(kind, *_kind_constants(kind, centers[:, cols], scales[:, cols])) for kind, cols in parts]
+        ws["kinds"] = [_kind_constants(kind, centers[:, cols], scales[:, cols]) for kind, cols in parts]
     out = ws["out"]
     lo = 0
     while lo < n:
@@ -301,16 +319,19 @@ def _mixture_sum(centers, scales, parts, pts, ws=None) -> np.ndarray:
         m = hi - lo
         coords = [pts[:, None, lo:hi, j] for j in range(d)]
         node = ws["node"][:, :, :m]
-        for i, (kind, planes, inv_norm) in enumerate(ws["kinds"]):
+        for i, ((kind, cols), (planes, inv_norm)) in enumerate(zip(parts, ws["kinds"])):
             # contiguous (B, Cc, m) views of the buffers
-            size = B * inv_norm.shape[1] * m
+            size = B * len(cols) * m
             acc = ws["acc"][:size].reshape(B, -1, m)
             tmp = ws["tmp"][:size].reshape(B, -1, m) if d > 1 else None
             terms = _kernel(kind, planes, coords, acc, tmp, node)
-            if i:
-                out[:, lo:hi] += np.einsum("bcn,bc->bn", terms, inv_norm, out=ws["term"][: B * m].reshape(B, m))
+            dst = ws["term"][: B * m].reshape(B, m) if i else out[:, lo:hi]
+            if np.ndim(inv_norm) == 0:
+                np.multiply(terms[:, 0], inv_norm, out=dst)
             else:
-                np.einsum("bcn,bc->bn", terms, inv_norm, out=out[:, lo:hi])
+                np.einsum("bcn,bc->bn", terms, inv_norm, out=dst)
+            if i:
+                out[:, lo:hi] += dst
         lo = hi
     return out
 
@@ -362,7 +383,7 @@ def _add_grid_products(centers, scales, kind, lin, lines, out) -> None:
         _kernel(kind, [plane], [lin[:, None, :, d]], np.empty((B, C, g)), None, node)
         for d, plane in enumerate(planes)
     ]
-    tables[-1] *= inv_norm[:, :, None]
+    tables[-1] *= np.expand_dims(inv_norm, -1)
     m = max(1, _BLOCK // (B * max(C, g)))
     for lo in range(0, len(lines), m):
         block = lines[lo : lo + m]
@@ -482,10 +503,12 @@ class CompiledObjective(_Compiled):
     grid node, do not depend on alpha, so compiling computes them once; an
     evaluation costs only the model at the nodes and the output mixture.
     ``_nodes`` builds each bucket's grid, and only under quadrature: a Monte
-    Carlo compile computes no grid size, budget or node table. f_in is a
-    sum of product densities and the grid is a tensor grid, so f_in at the
-    g^k nodes of a group comes from g*k densities per component
-    (``_grid_mixture``) and compiling is cheap next to one evaluation.
+    Carlo compile computes no grid size, budget or node table. Every node
+    array is C-contiguous, so the (B n, k) block that the model sees is a
+    view of it, not a copy per evaluation. f_in is a sum of product
+    densities and the grid is a tensor grid, so f_in at the g^k nodes of a
+    group comes from g*k densities per component (``_grid_mixture``) and
+    compiling is cheap next to one evaluation.
 
     ``evaluate``'s ``input_scales`` / ``output_scales`` overrides replace
     the scales of every Gaussian density (one finite scale > 0 per
@@ -584,9 +607,9 @@ class CompiledObjective(_Compiled):
             step = (hi - lo) / (g - 1)
             w = step.prod(axis=1)[:, None] * np.prod(trap[gi], axis=1)[None, :]
             w *= fx
-            nodes.append((lin[:, gi, np.arange(k)], w))  # points (B, g^k, k)
+            nodes.append((np.ascontiguousarray(lin[:, gi, np.arange(k)]), w))  # points (B, g^k, k)
         if b.pm_cols:
-            nodes.append((b.x[:, b.pm_cols, :], np.full((1, 1), 1.0 / H)))
+            nodes.append((np.ascontiguousarray(b.x[:, b.pm_cols, :]), np.full((1, 1), 1.0 / H)))
         return nodes
 
     def _draws(self, b: _Bucket):

@@ -3,9 +3,12 @@
 ``_mixture_sum`` evaluates each density kind from constants compiled once
 per scale array (the centers pre-scaled by 1/(sqrt(2) sigma), that scale and
 one over each normaliser), and a scale that all components of a group share
-collapses to one entry per group. The references here evaluate every
-component's density from its definition, node by node and component by
-component, so they share no code with the kernel.
+collapses to one entry per group, or to one for the bucket where every group
+shares it. The references here evaluate every component's density from its
+definition, node by node and component by component, so they share no code
+with the kernel. The byte test at the end is the exception: it writes out
+the kernel's former pass sequence, which its one-component path must match
+bit for bit.
 
 Agreement is measured relative to each group's largest value, as in
 ``test_grid_mixture.py``. Every group has one node inside its first
@@ -130,3 +133,68 @@ def test_objective_matches_densities_at_model_values(case, data):
     got = CompiledObjective(ds, model, IntegrationConfig()).evaluate(alpha).per_group_log
     nodes = reference(centers, scales, codes, vals) / L  # (B, H)
     assert_close_per_group(np.exp(got)[:, None], nodes.mean(axis=1, keepdims=True))
+
+
+def passes_before(centers, scales, codes, pts) -> np.ndarray:
+    """_mixture_sum as the pass sequence it ran before one-component planes
+    took their own path: per coordinate, the origin subtracted from the node
+    and the difference scaled, then c - row with c = (center - origin) scale,
+    squared and summed over coordinates; then negated, exp'd and contracted
+    with the normalisers by einsum. A uniform coordinate is |c - p| <= h,
+    multiplied over coordinates."""
+    out = 0.0
+    for code in CODES:
+        cols = np.flatnonzero(codes == code)
+        if not cols.size:
+            continue
+        gaussian = KINDS[code] == GAUSSIAN
+        inv_norm = 1.0 / np.prod(scales[:, cols] * (math.sqrt(2.0 * math.pi) if gaussian else 2.0), axis=-1)
+        acc = None
+        for j in range(centers.shape[2]):
+            s, c, p = scales[:, cols, j, None], centers[:, cols, j, None], pts[:, None, :, j]
+            if gaussian:
+                o = c[:, :1]
+                s = 1.0 / (math.sqrt(2.0) * s)
+                z = np.square((c - o) * s - (p - o) * s)
+                acc = z if acc is None else acc + z
+            else:
+                z = (np.abs(c - p) <= s).astype(float)
+                acc = z if acc is None else acc * z
+        terms = np.exp(-acc) if gaussian else acc
+        out = out + np.einsum("bcn,bc->bn", terms, inv_norm)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_one_component_planes_keep_their_bytes(data):
+    # one component per kind (a Gaussian, a uniform or one of each) in each
+    # of B groups, whose scales are the group's own or shared by the whole
+    # bucket. Nodes lie up to 60 scales out, and every group also gets nodes
+    # 37.8 and 40 scales out along its first coordinate, where a Gaussian
+    # term is denormal and zero
+    d = data.draw(st.integers(1, 2))
+    B = data.draw(st.integers(1, 4))
+    codes = np.array(data.draw(st.sampled_from([CODES[:1], CODES[1:], CODES, CODES[::-1]])), dtype=np.int8)
+    C = len(codes)
+    offset = data.draw(st.sampled_from([0.0, 1e4, -1e6]))
+    centers = offset + np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=B * C * d, max_size=B * C * d)))
+    centers = centers.reshape(B, C, d)
+    scale = st.floats(0.05, 2.0)
+    if data.draw(st.booleans()):
+        shared = np.array(data.draw(st.lists(scale, min_size=C * d, max_size=C * d))).reshape(1, C, d)
+        scales = np.repeat(shared, B, axis=0)
+    else:
+        scales = np.array(data.draw(st.lists(scale, min_size=B * C * d, max_size=B * C * d))).reshape(B, C, d)
+    n = data.draw(st.integers(0, 6))
+    t = st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0))
+    far = np.array(data.draw(st.lists(t, min_size=B * n * d, max_size=B * n * d))).reshape(B, n, d)
+    edge = np.zeros((B, 2, d))
+    edge[:, :, 0] = [37.8, -40.0]
+    pts = centers[:, :1] + np.concatenate([edge, far], axis=1) * scales[:, :1]
+    want = passes_before(centers, scales, codes, pts)
+    if codes.tolist() == [CODES[0]]:
+        assert np.all(want[:, 1] == 0.0) and np.all((want[:, 0] > 0.0) & (want[:, 0] < np.finfo(float).tiny))
+    ws = {}
+    for _ in range(2):  # constants compiled by this call, then kept in ws
+        assert np.array_equal(_mixture_sum(centers, scales, _kind_columns(codes), pts, ws), want)

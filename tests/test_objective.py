@@ -600,6 +600,30 @@ def test_cached_nodes_match_rebuilt_nodes():
         np.testing.assert_array_equal(override, fresh)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_nodes_are_contiguous(k):
+    # every node set, also one rebuilt by an input_scales override, is one
+    # C-contiguous block, so evaluate's (B * n, k) reshape is a view, not a
+    # copy per evaluation; groups mix Gaussian and point-mass inputs, so a
+    # quadrature bucket has grid and point-mass nodes
+    rng = np.random.default_rng(5)
+    gk, pm = ErrorDensity.gaussian(np.full(k, 0.3)), ErrorDensity.point_mass(k)
+    ds = GroupedDataset(tuple(
+        Group(rng.normal(size=(3, k)), rng.normal(size=(1, 1)), (gk, pm, gk), (G1,)) for _ in range(2)
+    ), k, 1)
+    cfgs = [IntegrationConfig(grid_points_per_dim=11), IntegrationConfig(method=MONTE_CARLO, mc_samples=100)]
+    sizes = set()
+    for cfg in cfgs:
+        compiled = CompiledObjective(ds, ParametricModel.affine_kd(k), cfg)
+        for b in compiled.buckets:
+            xscale = compiled._effective_scales(b.xscale, b.in_kinds, np.full(k, 0.5))
+            for pts, _ in b.nodes + compiled._nodes(b, xscale):
+                sizes.add(pts.shape[1])
+                assert pts.flags.c_contiguous
+                assert np.shares_memory(pts.reshape(-1, k), pts)
+    assert sizes == {11**k, 1, 100}  # grid, point-mass and Monte Carlo nodes
+
+
 @pytest.mark.parametrize("block", [1, 7 * 1600])
 def test_node_blocks_are_exact(monkeypatch, block):
     # blocks that do not divide the node count give bit-identical sums: a
