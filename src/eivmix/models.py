@@ -115,9 +115,14 @@ def model_eval_batch(model: ParametricModel, alpha, xs: np.ndarray, out=None) ->
     if model.family == AFFINE_KD:
         np.add(np.matmul(xs, alpha[1:], out=y), alpha[0], out=y)
     elif model.family == POLYNOMIAL_1D:
-        # Horner's rule in place: polyval's products and sums, in its order
-        y.fill(alpha[-1])
-        for c in alpha[-2::-1]:
+        # Horner's rule in place: polyval's products and sums, in its order.
+        # The first step multiplies x by the leading coefficient directly:
+        # IEEE products commute, so it equals filling y with it first
+        if alpha.size == 1:
+            y.fill(alpha[0])
+        else:
+            np.add(np.multiply(xs[:, 0], alpha[-1], out=y), alpha[-2], out=y)
+        for c in alpha[-3::-1]:
             np.add(np.multiply(y, xs[:, 0], out=y), c, out=y)
     else:
         alpha, xs = alpha.view(), xs.view()

@@ -43,8 +43,13 @@ group, its side and its kind.
 from __future__ import annotations
 
 import math
+import os
+import queue
 import sys
+import threading
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -417,6 +422,86 @@ def _buckets(ds: GroupedDataset) -> list:
     ]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS: every CPU
+        return os.cpu_count() or 1
+
+
+def _settle(i, task, claim, out, wake) -> None:
+    """Run job i unless another thread has claimed it: out[i] becomes
+    (result, exception), then wake gets i."""
+    if claim.acquire(False):
+        try:
+            out[i] = (task(), None)
+        except BaseException as error:  # the caller re-raises it
+            out[i] = (None, error)
+        wake.put(i)
+
+
+def _serve(todo) -> None:
+    """A worker's loop: settle each job from todo until a None, which it passes on."""
+    for job in iter(todo.get, None):
+        _settle(*job)
+    todo.put(None)
+
+
+class _Workers:
+    """Daemon threads that run one evaluation's tasks beside the caller.
+
+    ``run(tasks)`` returns the results of the zero-argument tasks, in order.
+    The workers take every task but the first from one shared queue, in
+    order. The caller runs the first, then any that no worker has started,
+    then waits for the rest. Whichever thread starts a job first claims it
+    with a non-blocking lock. Each ``run`` has its own result list and
+    wake-up queue, so no call reads another's result.
+
+    ``run`` returns or raises only once every job has finished. The caller
+    waits until the result list is full, not for a count of wake-ups, so a
+    wake-up lost to an interrupt can neither end the wait early nor make it
+    endless. An interrupt that arrives while the caller runs or waits is
+    raised after that; otherwise the first exception in task order is
+    re-raised on the caller's thread.
+
+    The threads hold the job queue, not the owner: once the owner drops this
+    object, a None on the queue stops them one after another. Threads do not
+    survive a fork, so the owner makes new ones where ``pid`` is not its own.
+    """
+
+    def __init__(self, n: int):
+        self.pid = os.getpid()
+        self.todo = queue.SimpleQueue()
+        for _ in range(n):
+            threading.Thread(target=_serve, args=(self.todo,), name="eivmix-worker", daemon=True).start()
+        weakref.finalize(self, self.todo.put, None)
+
+    def run(self, tasks) -> list:
+        out, wake = [None] * len(tasks), queue.SimpleQueue()
+        jobs = [(i, task, threading.Lock(), out, wake) for i, task in enumerate(tasks)]
+        interrupt = None
+        try:
+            for job in jobs[1:]:
+                self.todo.put(job)
+        except BaseException as error:  # the caller runs what it did not hand out
+            interrupt = error
+        while None in out:
+            try:
+                for job in jobs:
+                    _settle(*job)
+                if None in out:
+                    wake.get()
+            except BaseException as error:
+                interrupt = interrupt or error
+        if interrupt is not None:
+            raise interrupt
+        for _, error in out:
+            if error is not None:
+                raise error
+        return [result for result, _ in out]
+
+
 def _check_model_dims(ds: GroupedDataset, model: ParametricModel) -> None:
     """Raise unless the model maps the dataset's input space to its output space."""
     if model.input_dim != ds.input_dim or model.output_dim != ds.output_dim:
@@ -448,15 +533,19 @@ class _Compiled:
     then builds one bucket per ``_buckets`` entry with the subclass's
     ``_bucket(rows, inputs, outputs)``.
     Its ``evaluate`` checks the arguments and returns ``_value(*args)``,
-    which writes the per-group logs that the generator ``_group_logs(*args)``
-    yields as (rows, logs), bucket by bucket, under one ``np.errstate``:
-    overflow to inf and log 0 = -inf are expected there.
+    which writes the per-group logs that ``_group_logs(*args)`` gives as
+    (rows, logs), bucket by bucket, under one ``np.errstate``: overflow to
+    inf and log 0 = -inf are expected there. The closed forms' generators
+    compute each bucket as it is asked for; ``CompiledObjective`` computes
+    every bucket, some on its worker threads, before it gives the first.
 
     Evaluations write into buffers each bucket keeps for the objective's
     lifetime, so repeated evaluations neither allocate them nor page-fault.
     Results never alias them: each ``ObjectiveValue`` owns its
     ``per_group_log``. Because the buffers are shared, one compiled
-    objective must not be evaluated from two threads at once.
+    objective must not be evaluated from two threads at once; its own
+    workers each write one bucket's buffers, which no other thread touches
+    until the evaluation has joined them.
     """
 
     def _compile(self, ds: GroupedDataset) -> None:
@@ -524,6 +613,19 @@ class CompiledObjective(_Compiled):
     values, the output mixture's block temporaries, its result and those
     constants; the first ``evaluate`` makes them (the constants again for
     each ``output_scales`` override).
+
+    An evaluation has two stages. Stage one runs on the caller's thread:
+    the model at every bucket's nodes (``_model_at_nodes``), so a generic
+    model's hook never leaves the caller. Stage two is one task per bucket
+    (``_bucket_logs``): its output mixture, the weighted sum over nodes and
+    the log. Tasks run costliest first, by B n L output terms; the caller
+    runs the first and ``_helpers`` daemon threads (``_Workers``, started
+    by the first evaluation that uses them, and again in a forked child)
+    run the rest. ``_helpers`` is one fewer than the CPUs the process may
+    run on or than the buckets, whichever is less; where it is 0 every task
+    runs on the caller. No two buckets share a buffer, and each bucket's
+    arithmetic is the same on any thread, so the values do not depend on
+    the workers.
     """
 
     _bucket = _Bucket
@@ -551,6 +653,13 @@ class CompiledObjective(_Compiled):
         for b in self.buckets:
             b.nodes = self._nodes(b, b.xscale)
             b.ws = [{} for _ in b.nodes]
+        # stage two's tasks, costliest first: B n L output terms per bucket
+        self._order = sorted(
+            self.buckets, key=lambda b: sum(pts.shape[0] * pts.shape[1] for pts, _ in b.nodes) * b.y.shape[1],
+            reverse=True,
+        )
+        self._helpers = min(len(self.buckets), _cpus()) - 1
+        self._workers = None  # started by the first evaluation that uses them
 
     # -- scale overrides ---------------------------------------------------
 
@@ -632,23 +741,49 @@ class CompiledObjective(_Compiled):
         return self._value(alpha, input_scales, output_scales)
 
     def _group_logs(self, alpha, input_scales, output_scales):
-        for b in self.buckets:
-            nodes = b.nodes
-            if input_scales is not None:
-                if self.cfg.method == MONTE_CARLO and b.draws is None:
-                    b.draws = list(self._draws(b))  # kept from the first override on
-                xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
-                nodes = self._nodes(b, xscale)
-            yscale = self._effective_scales(b.yscale, b.out_kinds, output_scales)
-            lik = 0.0
-            for (pts, w), ws in zip(nodes, b.ws):
-                B, n, k = pts.shape
-                ws["vals"] = vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k), ws.get("vals"))
-                fy = _mixture_sum(b.y, yscale, b.out_parts, vals.reshape(B, n, -1), ws)
-                # sum_i w_i f_out(s_i) per group, off BLAS; the mixture's
-                # 1/L is applied once per group, not once per node
-                lik = lik + np.einsum("bn,bn->b", fy, w)
-            yield b.idx, np.log(lik / b.y.shape[1])
+        tasks = [self._model_at_nodes(b, alpha, input_scales, output_scales) for b in self._order]
+        if self._helpers:
+            if self._workers is None or self._workers.pid != os.getpid():
+                self._workers = _Workers(self._helpers)
+            logs = self._workers.run(tasks)
+        else:
+            logs = [task() for task in tasks]
+        return zip([b.idx for b in self._order], logs)
+
+    def _model_at_nodes(self, b: _Bucket, alpha, input_scales, output_scales):
+        """Stage one, on the caller's thread: the model at every node of b,
+        rebuilding the nodes under an ``input_scales`` override. Returns
+        stage two, the task that turns those values into b's group logs."""
+        nodes = b.nodes
+        if input_scales is not None:
+            if self.cfg.method == MONTE_CARLO and b.draws is None:
+                b.draws = list(self._draws(b))  # kept from the first override on
+            xscale = self._effective_scales(b.xscale, b.in_kinds, input_scales)
+            nodes = self._nodes(b, xscale)
+        yscale = self._effective_scales(b.yscale, b.out_kinds, output_scales)
+        sets = []
+        for (pts, w), ws in zip(nodes, b.ws):
+            B, n, k = pts.shape
+            ws["vals"] = vals = model_eval_batch(self.model, alpha, pts.reshape(B * n, k), ws.get("vals"))
+            sets.append((vals.reshape(B, n, -1), w, ws))
+        return partial(_bucket_logs, b.y, yscale, b.out_parts, sets)
+
+
+def _bucket_logs(y, yscale, parts, sets) -> np.ndarray:
+    """Stage two of ``CompiledObjective``'s evaluation: one bucket's group logs.
+
+    sets holds (model values (B, n, m), weights, buffers) per node set of
+    the bucket, whose outputs y have scales yscale. It may run on any
+    thread, so it sets its own errstate: numpy's is per thread.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        lik = 0.0
+        for vals, w, ws in sets:
+            fy = _mixture_sum(y, yscale, parts, vals, ws)
+            # sum_i w_i f_out(s_i) per group, off BLAS; the mixture's
+            # 1/L is applied once per group, not once per node
+            lik = lik + np.einsum("bn,bn->b", fy, w)
+        return np.log(lik / y.shape[1])
 
 
 def nll_general(

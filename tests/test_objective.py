@@ -1,7 +1,10 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -874,6 +877,242 @@ def test_monte_carlo_compile_builds_no_grid():
     ]
     assert abs(peaks[1] - peaks[0]) < 2**20
     assert max(peaks) < 10 * 2**20
+
+
+# -- concurrent buckets ------------------------------------------------------------
+
+_IN_DENSITIES = (ErrorDensity.gaussian(0.5), ErrorDensity.uniform(0.4), ErrorDensity.point_mass(1))
+_OUT_DENSITIES = (ErrorDensity.gaussian(0.3), ErrorDensity.uniform(0.6))
+# on the line: a fit, outputs missing the uniform boxes (some groups -inf)
+# and outputs missing everything (every group -inf)
+_UNDERFLOW_ALPHAS = ([0.1, 0.5], [3.0, 0.5], [40.0, 0.5])
+_OVERRIDES = ({}, {"input_scales": [0.3]}, {"output_scales": [0.8]}, {"input_scales": [0.6], "output_scales": [1.2]})
+
+
+def _grouped(layout, rng) -> GroupedDataset:
+    """One scalar group per (input densities, output densities) of layout."""
+    return GroupedDataset(tuple(
+        Group(rng.normal(size=(len(ins), 1)), rng.normal(size=(len(outs), 1)), tuple(ins), tuple(outs))
+        for ins, outs in layout
+    ), 1, 1)
+
+
+def _value_bytes(got) -> tuple:
+    return got.per_group_log.tobytes(), np.float64(got.value).tobytes(), got.note
+
+
+def _four_buckets() -> GroupedDataset:
+    (g, u, p), (og, ou) = _IN_DENSITIES, _OUT_DENSITIES
+    layout = [((g,), (og,)), ((g,), (ou,)), ((g, u, p), (og, ou)), ((u, u), (og, og)), ((g,), (og,)), ((g, u, p), (og, ou))]
+    return _grouped(layout, np.random.default_rng(12))
+
+
+def _serial_twin(compiled):
+    twin = CompiledObjective(compiled.ds, compiled.model, compiled.cfg)
+    twin._helpers = 0
+    return twin
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.lists(
+        st.tuples(st.lists(st.sampled_from(_IN_DENSITIES), min_size=1, max_size=3),
+                  st.lists(st.sampled_from(_OUT_DENSITIES), min_size=1, max_size=3)),
+        min_size=2, max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    monte_carlo=st.booleans(),
+)
+def test_workers_give_the_serial_bytes(layout, seed, monte_carlo):
+    # stage two runs bucket by bucket on worker threads, each bucket into
+    # its own buffers: every call equals, byte for byte, the same call with
+    # no workers, over mixed group sizes and kinds, both methods, both
+    # overrides and alphas where some or all groups underflow
+    cfg = (IntegrationConfig(method=MONTE_CARLO, mc_samples=100, seed=seed % 5) if monte_carlo
+           else IntegrationConfig(grid_points_per_dim=21))
+    threaded = CompiledObjective(_grouped(layout, np.random.default_rng(seed)), LINE, cfg)
+    serial = _serial_twin(threaded)
+    for alpha in _UNDERFLOW_ALPHAS:
+        for overrides in _OVERRIDES:
+            assert _value_bytes(threaded.evaluate(alpha, **overrides)) == _value_bytes(serial.evaluate(alpha, **overrides))
+    assert serial._workers is None
+
+
+def test_more_workers_than_cpus_under_fast_thread_switching():
+    # four workers, more than the CPUs here and than the three tasks each
+    # call hands out, switching every microsecond: a result read from
+    # another call, or a buffer written by two threads at once, would
+    # change the bytes
+    ds = _four_buckets()
+    threaded = CompiledObjective(ds, LINE, IntegrationConfig(grid_points_per_dim=51))
+    threaded._helpers = 4
+    serial = _serial_twin(threaded)
+    calls = [(alpha, overrides) for alpha in _UNDERFLOW_ALPHAS for overrides in _OVERRIDES]
+    want = [_value_bytes(serial.evaluate(alpha, **overrides)) for alpha, overrides in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert [_value_bytes(threaded.evaluate(alpha, **o)) for alpha, o in calls] == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded._workers is not None
+
+
+def test_dropping_an_objective_stops_its_workers():
+    # a fit compiles one objective, and replicate runs many fits: each
+    # objective's workers end with it
+    compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
+    compiled._helpers = 2
+    before = set(threading.enumerate())
+    compiled.evaluate([0.1, 0.5])
+    started = set(threading.enumerate()) - before
+    assert len(started) == 2
+    del compiled
+    for thread in started:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in started)
+
+
+def _caller_waits_for_a_worker(monkeypatch, on_worker):
+    """Patch stage two's _mixture_sum: the calling thread waits until a
+    worker has entered it, so each evaluation runs a task on a worker;
+    a worker runs on_worker(real, args). Returns the worker thread ids."""
+    real, caller, started, workers = objective._mixture_sum, threading.get_ident(), threading.Event(), set()
+
+    def patched(*args):
+        if threading.get_ident() == caller:
+            assert started.wait(30)
+            return real(*args)
+        workers.add(threading.get_ident())
+        started.set()
+        return on_worker(real, args)
+
+    monkeypatch.setattr(objective, "_mixture_sum", patched)
+    return workers
+
+
+def test_model_hooks_run_on_the_calling_thread(monkeypatch):
+    # stage one, the model at the nodes, never leaves the caller: a generic
+    # hook, also under an input_scales override, which rebuilds the nodes
+    hook_threads = set()
+
+    def hook(alpha, xs):
+        hook_threads.add(threading.get_ident())
+        return alpha[0] + alpha[1] * xs
+
+    compiled = CompiledObjective(_four_buckets(), ParametricModel.generic(1, 1, 2, hook), IntegrationConfig())
+    compiled._helpers = 2
+    workers = _caller_waits_for_a_worker(monkeypatch, lambda real, args: real(*args))
+    for overrides in _OVERRIDES:
+        compiled.evaluate([0.1, 0.5], **overrides)
+    assert hook_threads == {threading.get_ident()}
+    assert workers and threading.get_ident() not in workers
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
+    compiled._helpers = 1
+    want = _value_bytes(compiled.evaluate([0.1, 0.5]))
+
+    def fail(real, args):
+        raise FloatingPointError("from a worker")
+
+    _caller_waits_for_a_worker(monkeypatch, fail)
+    with pytest.raises(FloatingPointError, match="from a worker"):
+        compiled.evaluate([0.1, 0.5])
+    monkeypatch.undo()
+    assert _value_bytes(compiled.evaluate([0.1, 0.5])) == want
+
+
+def test_an_interrupt_waits_for_every_task(monkeypatch):
+    # an interrupt in the caller's own task is raised only once the task a
+    # worker is running has finished: no later call can meet that task
+    # still writing into its bucket's buffers
+    compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
+    compiled._helpers = 1
+    want = _value_bytes(compiled.evaluate([0.1, 0.5]))
+    real, caller, started, finished = objective._mixture_sum, threading.get_ident(), threading.Event(), threading.Event()
+
+    def patched(*args):
+        if threading.get_ident() == caller:
+            assert started.wait(30)
+            raise KeyboardInterrupt
+        started.set()
+        time.sleep(0.2)
+        out = real(*args)
+        finished.set()
+        return out
+
+    monkeypatch.setattr(objective, "_mixture_sum", patched)
+    with pytest.raises(KeyboardInterrupt):
+        compiled.evaluate([0.1, 0.5])
+    assert finished.is_set()
+    monkeypatch.undo()
+    assert _value_bytes(compiled.evaluate([0.1, 0.5])) == want
+
+
+def _evaluate_in_child(compiled, alpha, conn):
+    got = compiled.evaluate(alpha)
+    conn.send((_value_bytes(got), compiled._workers.pid == os.getpid()))
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_starts_its_own_workers():
+    # threads do not survive a fork: a child whose parent has started its
+    # workers starts its own, and gets the parent's bytes
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    ctx = multiprocessing.get_context("fork")
+    compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
+    compiled._helpers = 1
+    alpha = [0.1, 0.5]
+    want = _value_bytes(compiled.evaluate(alpha))
+    assert compiled._workers.pid == os.getpid()
+    ours, theirs = ctx.Pipe()
+    child = ctx.Process(target=_evaluate_in_child, args=(compiled, alpha, theirs))
+    child.start()
+    theirs.close()
+    try:
+        assert ours.poll(60)
+        assert ours.recv() == (want, True)
+    finally:
+        ours.close()
+        child.join(60)
+    assert not child.is_alive() and child.exitcode == 0
+
+
+_ONE_CPU_PROBE = """
+import os, sys, threading
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from eivmix import IntegrationConfig, generate_scenario, scenario_spec
+from eivmix.objective import CompiledObjective
+from eivmix.simulate import scenario_model
+
+spec = scenario_spec("cubic", R=200)
+compiled = CompiledObjective(generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec), IntegrationConfig())
+logs = compiled.evaluate(np.asarray(spec.alpha, dtype=float) + 0.05).per_group_log
+print(len(compiled.buckets), compiled._helpers, threading.active_count(), logs.tobytes().hex())
+"""
+
+
+def test_one_cpu_takes_the_serial_path():
+    # the CPU rule: one worker fewer than the CPUs this process may run on,
+    # and none on one CPU, where no thread starts; the bytes are the same
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity call on this platform")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(objective.__file__))}
+    runs = {}
+    for how in ("pinned", "free"):
+        probe = subprocess.run([sys.executable, "-c", _ONE_CPU_PROBE, how], env=env, capture_output=True, text=True, check=True)
+        runs[how] = probe.stdout.split()
+    buckets, helpers, threads, logs = runs["pinned"]
+    assert (buckets, helpers, threads) == ("2", "0", "1")
+    free_helpers = min(2, len(os.sched_getaffinity(0))) - 1
+    assert runs["free"] == [buckets, str(free_helpers), str(1 + free_helpers), logs]
 
 
 # -- infrastructure ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -123,3 +124,21 @@ def test_traced_names_resolve_and_no_traced_class_inherits_another():
     assert missing == []
     assert {c.__name__ for c in classes} >= {"CompiledObjective", "CompiledGaussianPlane", "CompiledIntervalLine"}
     assert [(a, b) for a in classes for b in classes if a is not b and issubclass(a, b)] == []
+
+
+def test_the_general_objective_has_no_concurrency_knob():
+    # the general objective picks its worker threads from the CPUs the
+    # process may run on: no constructor or evaluate parameter and no
+    # config field selects them
+    from eivmix.objective import CompiledObjective
+
+    assert list(inspect.signature(CompiledObjective.__init__).parameters) == ["self", "ds", "model", "cfg"]
+    assert list(inspect.signature(CompiledObjective.evaluate).parameters) == [
+        "self", "alpha", "input_scales", "output_scales"
+    ]
+    assert [f.name for f in dataclasses.fields(eivmix.IntegrationConfig)] == [
+        "method", "mc_samples", "grid_points_per_dim", "grid_halfwidth_sigmas", "seed"
+    ]
+    assert [f.name for f in dataclasses.fields(eivmix.OptimizerConfig)] == [
+        "max_iters", "initial_simplex_scale", "restarts", "seed"
+    ]
