@@ -77,6 +77,15 @@ _MAX_DATASET_GRID_POINTS = 1 << 23
 #: every node at once. Results do not depend on it.
 _BLOCK = 1 << 16
 
+#: Output terms (B n L per evaluation) that each slice of a bucket holds at
+#: least: ``CompiledObjective`` cuts a bucket of T terms into no more than
+#: T // _SLICE slices. Below about 1e5 terms a slice's thread hand-off costs
+#: what it gains. Plane R=4 evaluations cut in two, against whole (median of
+#: 5 x 200, one BLAS thread, 2-vCPU x86-64 machine): slices of 45k-89k terms
+#: took 0.95-1.08 times as long, of 104k 0.90-0.92, of 119k 0.83-0.85 and of
+#: 186k 0.78.
+_SLICE = 1 << 17
+
 #: Groups an underflow note names before it counts the rest.
 _NOTE_GROUPS = 10
 
@@ -442,9 +451,12 @@ def _settle(i, task, claim, out, wake) -> None:
 
 
 def _serve(todo) -> None:
-    """A worker's loop: settle each job from todo until a None, which it passes on."""
+    """A worker's loop: settle each job from todo until a None, which it
+    passes on. It drops each job before it waits for the next, so an idle
+    worker keeps no task, and through it no bucket's buffers, alive."""
     for job in iter(todo.get, None):
         _settle(*job)
+        del job
     todo.put(None)
 
 
@@ -536,8 +548,10 @@ class _Compiled:
     which writes the per-group logs that ``_group_logs(*args)`` gives as
     (rows, logs), bucket by bucket, under one ``np.errstate``: overflow to
     inf and log 0 = -inf are expected there. The closed forms' generators
-    compute each bucket as it is asked for; ``CompiledObjective`` computes
-    every bucket, some on its worker threads, before it gives the first.
+    compute each bucket as it is asked for; ``CompiledObjective``, which
+    cuts a large bucket into slices of whole groups that it keeps as
+    buckets of their own, computes every bucket, some on its worker
+    threads, before it gives the first.
 
     Evaluations write into buffers each bucket keeps for the objective's
     lifetime, so repeated evaluations neither allocate them nor page-fault.
@@ -578,6 +592,28 @@ class _Bucket:
         self.in_parts = _kind_columns(self.in_kinds)
         self.out_parts = _kind_columns(self.out_kinds)
         self.draws = None  # Monte Carlo draws, once an input_scales override needs them
+
+    def terms(self) -> int:
+        """B n L: the output-mixture terms of one evaluation at self.nodes."""
+        return sum(pts.shape[0] * pts.shape[1] for pts, _ in self.nodes) * self.y.shape[1]
+
+    def slices(self, cpus: int) -> list:
+        """This bucket cut into s = min(cpus, B, terms // _SLICE) buckets of
+        contiguous groups, or itself where s is below 2. Each slice's nodes and
+        weights are views of this bucket's rows."""
+        B = len(self.idx)
+        s = min(cpus, B, self.terms() // _SLICE)
+        if s <= 1:
+            return [self]
+        parts = []
+        for i in range(s):
+            rows = slice(B * i // s, B * (i + 1) // s)
+            part = _Bucket(self.idx[rows], (self.x[rows], self.xscale[rows], self.in_kinds),
+                           (self.y[rows], self.yscale[rows], self.out_kinds))
+            # weights of shape (1, 1) are one weight that every group shares
+            part.nodes = [(pts[rows], w if len(w) == 1 else w[rows]) for pts, w in self.nodes]
+            parts.append(part)
+        return parts
 
 
 class CompiledObjective(_Compiled):
@@ -626,6 +662,16 @@ class CompiledObjective(_Compiled):
     runs on the caller. No two buckets share a buffer, and each bucket's
     arithmetic is the same on any thread, so the values do not depend on
     the workers.
+
+    So that one large bucket, the paper's few unpaired groups, does not
+    leave the other CPUs idle, compiling cuts each bucket of T = B n L
+    output terms into s = min(CPUs, B, T // _SLICE) slices of contiguous
+    groups (``_Bucket.slices``); where s is below 2 the bucket stays whole.
+    Each slice is a bucket from then on, with its own nodes (views of the
+    whole bucket's), buffers and stage-two task. No group's arithmetic
+    reads another group's, so the values do not depend on the slicing
+    either. Small buckets, such as the cubic study's, stay whole: below
+    ``_SLICE`` terms a slice's thread hand-off costs what it gains.
     """
 
     _bucket = _Bucket
@@ -648,17 +694,17 @@ class CompiledObjective(_Compiled):
                     f"{g} points per dim in {k} dims for {gridded} groups exceeds the "
                     "grid budget; reduce grid_points_per_dim or use the monte-carlo method"
                 )
-        # the nodes and input-mixture weights do not depend on alpha; each
-        # node set's evaluation buffers are made by the first evaluate
+        # the nodes and input-mixture weights do not depend on alpha
         for b in self.buckets:
             b.nodes = self._nodes(b, b.xscale)
+        cpus = _cpus()
+        self.buckets = [part for b in self.buckets for part in b.slices(cpus)]
+        # each node set's evaluation buffers are made by the first evaluate
+        for b in self.buckets:
             b.ws = [{} for _ in b.nodes]
-        # stage two's tasks, costliest first: B n L output terms per bucket
-        self._order = sorted(
-            self.buckets, key=lambda b: sum(pts.shape[0] * pts.shape[1] for pts, _ in b.nodes) * b.y.shape[1],
-            reverse=True,
-        )
-        self._helpers = min(len(self.buckets), _cpus()) - 1
+        # stage two's tasks, costliest first
+        self._order = sorted(self.buckets, key=_Bucket.terms, reverse=True)
+        self._helpers = min(len(self.buckets), cpus) - 1
         self._workers = None  # started by the first evaluation that uses them
 
     # -- scale overrides ---------------------------------------------------

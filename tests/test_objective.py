@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -1010,6 +1011,24 @@ def test_model_hooks_run_on_the_calling_thread(monkeypatch):
     assert workers and threading.get_ident() not in workers
 
 
+def test_an_idle_worker_keeps_no_buffers_alive(monkeypatch):
+    # a worker waiting for its next job holds no finished task: once its
+    # objective is gone, no bucket's buffers outlive it, even while the
+    # worker itself lives on
+    compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
+    compiled._helpers = 1
+    _caller_waits_for_a_worker(monkeypatch, lambda real, args: real(*args))
+    compiled.evaluate([0.1, 0.5])
+    workers = compiled._workers  # keeps the worker waiting for its next job
+    buffers = [weakref.ref(ws["out"]) for b in compiled.buckets for ws in b.ws]
+    del compiled
+    deadline = time.monotonic() + 30
+    while any(ref() is not None for ref in buffers) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(ref() is None for ref in buffers)
+    assert workers.pid == os.getpid()
+
+
 def test_a_worker_exception_reaches_the_caller(monkeypatch):
     compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
     compiled._helpers = 1
@@ -1113,6 +1132,76 @@ def test_one_cpu_takes_the_serial_path():
     assert (buckets, helpers, threads) == ("2", "0", "1")
     free_helpers = min(2, len(os.sched_getaffinity(0))) - 1
     assert runs["free"] == [buckets, str(free_helpers), str(1 + free_helpers), logs]
+
+
+# -- sliced buckets ------------------------------------------------------------------
+
+
+def _compiled_on(cpus, slice_terms, *args):
+    """A CompiledObjective compiled as if on ``cpus`` CPUs, with ``_SLICE`` at slice_terms."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objective, "_cpus", lambda: cpus)
+        patch.setattr(objective, "_SLICE", slice_terms)
+        return CompiledObjective(*args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kinds=st.lists(
+        st.tuples(st.lists(st.sampled_from(_IN_DENSITIES), min_size=1, max_size=3),
+                  st.lists(st.sampled_from(_OUT_DENSITIES), min_size=1, max_size=3)),
+        min_size=1, max_size=3,
+    ),
+    picks=st.lists(st.integers(0, 2), min_size=2, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+    monte_carlo=st.booleans(),
+)
+def test_slices_give_the_whole_bucket_bytes(kinds, picks, seed, monte_carlo):
+    # a slice of one term cuts every bucket into min(3, B) slices of whole
+    # groups: every call equals, byte for byte, the same call on whole
+    # buckets, over groups of repeated and interleaved kinds, both methods,
+    # both overrides and alphas where some or all groups underflow
+    layout = [kinds[i % len(kinds)] for i in picks]
+    cfg = (IntegrationConfig(method=MONTE_CARLO, mc_samples=100, seed=seed % 5) if monte_carlo
+           else IntegrationConfig(grid_points_per_dim=21))
+    args = (_grouped(layout, np.random.default_rng(seed)), LINE, cfg)
+    whole, sliced = _compiled_on(1, 1, *args), _compiled_on(3, 1, *args)
+    assert len(sliced.buckets) == sum(min(3, len(b.idx)) for b in whole.buckets)
+    covered = np.sort(np.concatenate([b.idx for b in sliced.buckets]))
+    assert covered.tolist() == list(range(len(layout)))
+    for alpha in _UNDERFLOW_ALPHAS:
+        for overrides in _OVERRIDES:
+            assert _value_bytes(sliced.evaluate(alpha, **overrides)) == _value_bytes(whole.evaluate(alpha, **overrides))
+    assert whole._workers is None
+
+
+def test_small_buckets_stay_whole():
+    # the cubic study's buckets, 40k and 20k output terms, are each below
+    # one slice's worth, so they stay whole on any number of CPUs
+    spec = scenario_spec("cubic", R=200)
+    args = (generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec), IntegrationConfig())
+    for cpus in (1, 2, 3, 64):
+        compiled = _compiled_on(cpus, objective._SLICE, *args)
+        assert [len(b.idx) for b in compiled.buckets] == [198, 2]
+        assert compiled._helpers == min(2, cpus) - 1
+
+
+def test_one_large_bucket_is_sliced_per_cpu():
+    # four 400-point groups, 5.95M output terms in one bucket: two CPUs
+    # give two slices of two groups and one worker, one CPU the whole
+    # bucket and no thread
+    ds, model = plane_r4()
+    alpha = [0.0, 0.2, 0.4]
+    two = _compiled_on(2, objective._SLICE, ds, model, IntegrationConfig())
+    assert [b.idx.tolist() for b in two.buckets] == [[0, 1], [2, 3]]
+    assert two._helpers == 1
+    one = _compiled_on(1, objective._SLICE, ds, model, IntegrationConfig())
+    assert [b.idx.tolist() for b in one.buckets] == [[0, 1, 2, 3]]
+    assert one._helpers == 0
+    before = threading.active_count()
+    want = _value_bytes(one.evaluate(alpha))
+    assert threading.active_count() == before and one._workers is None
+    assert _value_bytes(two.evaluate(alpha)) == want
 
 
 # -- infrastructure ---------------------------------------------------------------
