@@ -21,8 +21,11 @@ def r_squared_delta(x_matrix, y, slopes, error_cov) -> float:
 
     where S is the (1/L)-normalized centered second-moment matrix of the
     inputs, var(y) the (1/L)-normalized output variance, b the fitted slope
-    vector (intercept excluded), and Sigma the input error covariance
-    (``error_cov``, a k-vector of variances or a full k x k matrix).
+    vector (intercept excluded), and Sigma the diagonal input error
+    covariance (``error_cov``: one variance for every input, or k of them).
+    No BLAS call, so no BLAS kernel, touches the value: b' S b is
+    mean(t * t) with t = sum_j xc_j b_j summed left to right over the
+    centered inputs, and b' Sigma b is sum(b * b * variances).
     """
     x = np.asarray(x_matrix, dtype=float)
     if x.ndim == 1:
@@ -36,16 +39,16 @@ def r_squared_delta(x_matrix, y, slopes, error_cov) -> float:
         raise ValueError("need at least 2 rows")
     if b.shape != (k,):
         raise ValueError(f"slopes have shape {b.shape}, expected ({k},)")
-    cov = np.asarray(error_cov, dtype=float)
-    if cov.ndim <= 1:
-        cov = np.diag(np.broadcast_to(cov, (k,)).astype(float))
-    if cov.shape != (k, k):
-        raise ValueError(f"error covariance has shape {cov.shape}, expected ({k}, {k})")
+    var = np.asarray(error_cov, dtype=float)
+    if var.ndim > 1 or var.size not in (1, k):
+        raise ValueError(f"error variances have shape {var.shape}, expected () or ({k},)")
     xc = x - x.mean(axis=0)
-    s = xc.T @ xc / x.shape[0]
-    explained = float(b @ s @ b)
+    t = xc[:, 0] * b[0]
+    for j in range(1, k):
+        t += xc[:, j] * b[j]
+    explained = float(np.mean(t * t))
     total = float(np.mean((y - y.mean()) ** 2))
-    denom = total + float(b @ cov @ b)
+    denom = total + float(np.sum(b * b * var))
     if denom <= 0:
         raise ValueError("zero total variance; ratio undefined")
     return min(explained / denom, 1.0)

@@ -38,6 +38,10 @@ share per-point density kinds; ``evaluate(alpha)`` returns an
 ``_check_kinds``, on the density kinds each class declares in ``_kinds``:
 it rejects the kinds an objective cannot take, naming the first offending
 group, its side and its kind.
+
+``CompiledObjective`` runs part of each evaluation on worker threads that
+the whole process shares: one fewer than its CPUs at most, however many
+objectives it compiles, and none before an evaluation asks for them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ import os
 import queue
 import sys
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -451,24 +454,27 @@ def _settle(i, task, claim, out, wake) -> None:
 
 
 def _serve(todo) -> None:
-    """A worker's loop: settle each job from todo until a None, which it
-    passes on. It drops each job before it waits for the next, so an idle
-    worker keeps no task, and through it no bucket's buffers, alive."""
-    for job in iter(todo.get, None):
-        _settle(*job)
-        del job
-    todo.put(None)
+    """A worker's loop: settle each job from todo. The job goes out of scope
+    before the next wait, so an idle worker keeps no task, and through it no
+    bucket's buffers, alive."""
+    while True:
+        _settle(*todo.get())
 
 
 class _Workers:
-    """Daemon threads that run one evaluation's tasks beside the caller.
+    """The process's daemon worker threads, which every compiled objective
+    shares as ``_WORKERS``.
 
-    ``run(tasks)`` returns the results of the zero-argument tasks, in order.
-    The workers take every task but the first from one shared queue, in
-    order. The caller runs the first, then any that no worker has started,
-    then waits for the rest. Whichever thread starts a job first claims it
-    with a non-blocking lock. Each ``run`` has its own result list and
-    wake-up queue, so no call reads another's result.
+    ``run(tasks, helpers)`` returns the results of the zero-argument tasks,
+    in order. It first starts threads, under a lock, until there are
+    ``helpers``, so the set grows to the largest ``helpers`` asked for.
+    With ``helpers`` 0 the caller runs every task. Otherwise the workers
+    take every task but the first from one shared queue, in order. The
+    caller runs the first, then any that no worker has started, then waits
+    for the rest. Whichever thread starts a job first claims it with a
+    non-blocking lock. Each ``run`` has its own result list, wake-up queue
+    and job locks, so no call reads another's result, even where callers on
+    several threads share the workers.
 
     ``run`` returns or raises only once every job has finished. The caller
     waits until the result list is full, not for a count of wake-ups, so a
@@ -477,24 +483,24 @@ class _Workers:
     raised after that; otherwise the first exception in task order is
     re-raised on the caller's thread.
 
-    The threads hold the job queue, not the owner: once the owner drops this
-    object, a None on the queue stops them one after another. Threads do not
-    survive a fork, so the owner makes new ones where ``pid`` is not its own.
+    A forked child gets a new, empty set: threads do not survive a fork.
     """
 
-    def __init__(self, n: int):
-        self.pid = os.getpid()
+    def __init__(self):
         self.todo = queue.SimpleQueue()
-        for _ in range(n):
-            threading.Thread(target=_serve, args=(self.todo,), name="eivmix-worker", daemon=True).start()
-        weakref.finalize(self, self.todo.put, None)
+        self.lock = threading.Lock()
+        self.threads = 0
 
-    def run(self, tasks) -> list:
+    def run(self, tasks, helpers: int) -> list:
+        with self.lock:
+            while self.threads < helpers:
+                threading.Thread(target=_serve, args=(self.todo,), name="eivmix-worker", daemon=True).start()
+                self.threads += 1
         out, wake = [None] * len(tasks), queue.SimpleQueue()
         jobs = [(i, task, threading.Lock(), out, wake) for i, task in enumerate(tasks)]
         interrupt = None
         try:
-            for job in jobs[1:]:
+            for job in jobs[1:] if helpers else ():
                 self.todo.put(job)
         except BaseException as error:  # the caller runs what it did not hand out
             interrupt = error
@@ -512,6 +518,11 @@ class _Workers:
             if error is not None:
                 raise error
         return [result for result, _ in out]
+
+
+_WORKERS = _Workers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_WORKERS.__init__)
 
 
 def _check_model_dims(ds: GroupedDataset, model: ParametricModel) -> None:
@@ -550,16 +561,16 @@ class _Compiled:
     inf and log 0 = -inf are expected there. The closed forms' generators
     compute each bucket as it is asked for; ``CompiledObjective``, which
     cuts a large bucket into slices of whole groups that it keeps as
-    buckets of their own, computes every bucket, some on its worker
-    threads, before it gives the first.
+    buckets of their own, computes every bucket, some on the process's
+    worker threads, before it gives the first.
 
     Evaluations write into buffers each bucket keeps for the objective's
     lifetime, so repeated evaluations neither allocate them nor page-fault.
     Results never alias them: each ``ObjectiveValue`` owns its
     ``per_group_log``. Because the buffers are shared, one compiled
-    objective must not be evaluated from two threads at once; its own
-    workers each write one bucket's buffers, which no other thread touches
-    until the evaluation has joined them.
+    objective must not be evaluated from two threads at once; the workers
+    that run its tasks each write one bucket's buffers, which no other
+    thread touches until the evaluation has joined them.
     """
 
     def _compile(self, ds: GroupedDataset) -> None:
@@ -654,14 +665,13 @@ class CompiledObjective(_Compiled):
     the model at every bucket's nodes (``_model_at_nodes``), so a generic
     model's hook never leaves the caller. Stage two is one task per bucket
     (``_bucket_logs``): its output mixture, the weighted sum over nodes and
-    the log. Tasks run costliest first, by B n L output terms; the caller
-    runs the first and ``_helpers`` daemon threads (``_Workers``, started
-    by the first evaluation that uses them, and again in a forked child)
-    run the rest. ``_helpers`` is one fewer than the CPUs the process may
-    run on or than the buckets, whichever is less; where it is 0 every task
-    runs on the caller. No two buckets share a buffer, and each bucket's
-    arithmetic is the same on any thread, so the values do not depend on
-    the workers.
+    the log. Compiling sorts the buckets costliest first, by B n L output
+    terms; the caller runs the first task and the process's shared workers
+    (``_WORKERS``) run the rest. Each evaluation asks for ``_helpers`` of
+    them, one fewer than the CPUs the process may run on or than the
+    buckets, whichever is less; where it is 0 every task runs on the
+    caller. No two buckets share a buffer, and each bucket's arithmetic is
+    the same on any thread, so the values do not depend on the workers.
 
     So that one large bucket, the paper's few unpaired groups, does not
     leave the other CPUs idle, compiling cuts each bucket of T = B n L
@@ -703,9 +713,8 @@ class CompiledObjective(_Compiled):
         for b in self.buckets:
             b.ws = [{} for _ in b.nodes]
         # stage two's tasks, costliest first
-        self._order = sorted(self.buckets, key=_Bucket.terms, reverse=True)
+        self.buckets.sort(key=_Bucket.terms, reverse=True)
         self._helpers = min(len(self.buckets), cpus) - 1
-        self._workers = None  # started by the first evaluation that uses them
 
     # -- scale overrides ---------------------------------------------------
 
@@ -787,14 +796,8 @@ class CompiledObjective(_Compiled):
         return self._value(alpha, input_scales, output_scales)
 
     def _group_logs(self, alpha, input_scales, output_scales):
-        tasks = [self._model_at_nodes(b, alpha, input_scales, output_scales) for b in self._order]
-        if self._helpers:
-            if self._workers is None or self._workers.pid != os.getpid():
-                self._workers = _Workers(self._helpers)
-            logs = self._workers.run(tasks)
-        else:
-            logs = [task() for task in tasks]
-        return zip([b.idx for b in self._order], logs)
+        tasks = [self._model_at_nodes(b, alpha, input_scales, output_scales) for b in self.buckets]
+        return zip([b.idx for b in self.buckets], _WORKERS.run(tasks, self._helpers))
 
     def _model_at_nodes(self, b: _Bucket, alpha, input_scales, output_scales):
         """Stage one, on the caller's thread: the model at every node of b,

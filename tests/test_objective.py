@@ -914,6 +914,24 @@ def _serial_twin(compiled):
     return twin
 
 
+def _worker_threads() -> int:
+    return sum(thread.name == "eivmix-worker" for thread in threading.enumerate())
+
+
+def _stage_two_threads(compiled, alpha, **overrides) -> set:
+    """The ids of the threads that ran stage two of compiled.evaluate(alpha, **overrides)."""
+    real, threads = objective._bucket_logs, set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objective, "_bucket_logs", spy)
+        compiled.evaluate(alpha, **overrides)
+    return threads
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     layout=st.lists(
@@ -936,7 +954,7 @@ def test_workers_give_the_serial_bytes(layout, seed, monte_carlo):
     for alpha in _UNDERFLOW_ALPHAS:
         for overrides in _OVERRIDES:
             assert _value_bytes(threaded.evaluate(alpha, **overrides)) == _value_bytes(serial.evaluate(alpha, **overrides))
-    assert serial._workers is None
+    assert _stage_two_threads(serial, _UNDERFLOW_ALPHAS[0]) == {threading.get_ident()}
 
 
 def test_more_workers_than_cpus_under_fast_thread_switching():
@@ -957,22 +975,73 @@ def test_more_workers_than_cpus_under_fast_thread_switching():
             assert [_value_bytes(threaded.evaluate(alpha, **o)) for alpha, o in calls] == want
     finally:
         sys.setswitchinterval(interval)
-    assert threaded._workers is not None
+    assert objective._WORKERS.threads >= 4 and _worker_threads() == objective._WORKERS.threads
 
 
-def test_dropping_an_objective_stops_its_workers():
-    # a fit compiles one objective, and replicate runs many fits: each
-    # objective's workers end with it
-    compiled = CompiledObjective(_four_buckets(), LINE, IntegrationConfig())
-    compiled._helpers = 2
-    before = set(threading.enumerate())
-    compiled.evaluate([0.1, 0.5])
-    started = set(threading.enumerate()) - before
-    assert len(started) == 2
-    del compiled
-    for thread in started:
-        thread.join(30)
-    assert not any(thread.is_alive() for thread in started)
+def _evaluate_side_by_side(compiled, calls, got):
+    got.append([_value_bytes(compiled.evaluate(alpha)) for alpha in calls])
+
+
+def test_two_callers_share_the_workers():
+    # two user threads, each with its own objective, hand their tasks to
+    # the one worker set at once, switching every microsecond: each gets
+    # its serial bytes
+    spec = scenario_spec("cubic", R=200)
+    cubic = CompiledObjective(generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec), IntegrationConfig())
+    four = CompiledObjective(_four_buckets(), LINE, IntegrationConfig(grid_points_per_dim=51))
+    runs = []
+    for compiled, calls in ((cubic, [np.asarray(spec.alpha, dtype=float) + 0.05 * i for i in range(20)]),
+                            (four, [_UNDERFLOW_ALPHAS[i % 3] for i in range(20)])):
+        compiled._helpers = 2
+        runs.append((compiled, calls, [], [_value_bytes(_serial_twin(compiled).evaluate(alpha)) for alpha in calls]))
+    threads = [threading.Thread(target=_evaluate_side_by_side, args=run[:3], daemon=True) for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for _, _, got, want in runs:
+        assert got == [want]
+
+
+_THREAD_PROBE = """
+import threading
+import numpy as np
+from eivmix import IntegrationConfig, OptimizerConfig, fit, generate_scenario, scenario_spec
+from eivmix.objective import CompiledObjective, _cpus
+from eivmix.simulate import scenario_model
+
+def workers():
+    return sum(thread.name == "eivmix-worker" for thread in threading.enumerate())
+
+counts = [threading.active_count()]
+spec = scenario_spec("A", R=3)
+fit(generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec), "gauss-line", IntegrationConfig(), OptimizerConfig())
+counts.append(threading.active_count())
+spec = scenario_spec("cubic", R=200)
+ds, model = generate_scenario(spec, np.random.default_rng(0)), scenario_model(spec)
+live = [CompiledObjective(ds, model, IntegrationConfig()) for _ in range(20)]
+for compiled in live:
+    compiled.evaluate(np.asarray(spec.alpha, dtype=float) + 0.05)
+counts.append(workers())
+print(_cpus(), *counts)
+"""
+
+
+def test_the_process_shares_one_bounded_worker_set():
+    # importing eivmix and a closed-form fit start no thread, and 20 live
+    # multi-bucket objectives run on one worker set of at most one thread
+    # fewer than the CPUs, not on a set each
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(objective.__file__))}
+    probe = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True, timeout=120)
+    cpus, imported, fitted, workers = map(int, probe.stdout.split())
+    assert (imported, fitted) == (1, 1)
+    assert workers == min(2, cpus) - 1
 
 
 def _caller_waits_for_a_worker(monkeypatch, on_worker):
@@ -1019,14 +1088,13 @@ def test_an_idle_worker_keeps_no_buffers_alive(monkeypatch):
     compiled._helpers = 1
     _caller_waits_for_a_worker(monkeypatch, lambda real, args: real(*args))
     compiled.evaluate([0.1, 0.5])
-    workers = compiled._workers  # keeps the worker waiting for its next job
     buffers = [weakref.ref(ws["out"]) for b in compiled.buckets for ws in b.ws]
     del compiled
     deadline = time.monotonic() + 30
     while any(ref() is not None for ref in buffers) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert all(ref() is None for ref in buffers)
-    assert workers.pid == os.getpid()
+    assert _worker_threads() >= 1
 
 
 def test_a_worker_exception_reaches_the_caller(monkeypatch):
@@ -1073,14 +1141,14 @@ def test_an_interrupt_waits_for_every_task(monkeypatch):
 
 def _evaluate_in_child(compiled, alpha, conn):
     got = compiled.evaluate(alpha)
-    conn.send((_value_bytes(got), compiled._workers.pid == os.getpid()))
+    conn.send((_value_bytes(got), _worker_threads()))
     conn.close()
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_starts_its_own_workers():
     # threads do not survive a fork: a child whose parent has started its
-    # workers starts its own, and gets the parent's bytes
+    # workers starts its own one, and gets the parent's bytes
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork on this platform")
     ctx = multiprocessing.get_context("fork")
@@ -1088,14 +1156,14 @@ def test_a_forked_child_starts_its_own_workers():
     compiled._helpers = 1
     alpha = [0.1, 0.5]
     want = _value_bytes(compiled.evaluate(alpha))
-    assert compiled._workers.pid == os.getpid()
+    assert _worker_threads() >= 1
     ours, theirs = ctx.Pipe()
     child = ctx.Process(target=_evaluate_in_child, args=(compiled, alpha, theirs))
     child.start()
     theirs.close()
     try:
         assert ours.poll(60)
-        assert ours.recv() == (want, True)
+        assert ours.recv() == (want, 1)
     finally:
         ours.close()
         child.join(60)
@@ -1172,7 +1240,7 @@ def test_slices_give_the_whole_bucket_bytes(kinds, picks, seed, monte_carlo):
     for alpha in _UNDERFLOW_ALPHAS:
         for overrides in _OVERRIDES:
             assert _value_bytes(sliced.evaluate(alpha, **overrides)) == _value_bytes(whole.evaluate(alpha, **overrides))
-    assert whole._workers is None
+    assert _stage_two_threads(whole, _UNDERFLOW_ALPHAS[0]) == {threading.get_ident()}
 
 
 def test_small_buckets_stay_whole():
@@ -1200,7 +1268,8 @@ def test_one_large_bucket_is_sliced_per_cpu():
     assert one._helpers == 0
     before = threading.active_count()
     want = _value_bytes(one.evaluate(alpha))
-    assert threading.active_count() == before and one._workers is None
+    assert threading.active_count() == before
+    assert _stage_two_threads(one, alpha) == {threading.get_ident()}
     assert _value_bytes(two.evaluate(alpha)) == want
 
 
